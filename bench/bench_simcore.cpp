@@ -1,23 +1,14 @@
 // Simulation-kernel scale-out bench (DESIGN.md §4g): measures the event
 // core that has to sustain 1000+ simulated hosts.
 //
-// Three measurement modes, all emitted as "bench":"simcore" JSON-Lines
+// Two measurement modes, both emitted as "bench":"simcore" JSON-Lines
 // rows (committed to BENCH_parallel.json):
-//
-//  * queue_micro — classic hold-model queue-operation throughput
-//    (steady-state pop-min + push at a fixed pending population) for the
-//    pre-PR kernel (std::priority_queue + std::function, embedded below
-//    as LegacyEngine), the 4-ary index heap, and the calendar queue.
 //
 //  * hostload — a campaign-shaped messaging workload at N hosts
 //    (per-host quantum loops, cancel-heavy watchdog re-arming, reports
 //    to the master, clause-share relays fanned out to every other host)
-//    run end to end on both systems: the pre-PR stack (LegacyEngine +
-//    the string-record LegacyBus it shipped with, relaying one send per
-//    recipient) and the new kernel with the POD MessageBus and batched
-//    deliveries. Both simulate the identical virtual history, so the
-//    speedup is a pure wall-clock ratio.
-//    The acceptance row: >= 5x events/s at 1000 hosts.
+//    run end to end on the 4-ary-heap kernel with the POD MessageBus and
+//    batched deliveries: events/s and virtual seconds per wall second.
 //
 //  * table2_scale — Table-2-style campaign rows on the synthetic grid at
 //    100 and 1000 clients: verdict, virtual seconds, wall time, and the
@@ -29,11 +20,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
-#include <map>
-#include <queue>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -52,95 +39,6 @@ using namespace gridsat;  // NOLINT
 
 namespace {
 
-// --- the pre-PR kernel, frozen for comparison --------------------------
-// A faithful copy of the engine this PR replaced: one std::function per
-// event in an ever-growing dense handler table, a std::priority_queue of
-// (time, id), lazy cancellation via tombstones. Kept here so the speedup
-// row compares kernels on the same hardware forever, not against a
-// number measured on some past machine.
-class LegacyEngine {
- public:
-  using EventId = std::uint64_t;
-
-  EventId schedule_at(double at, std::function<void()> fn) {
-    const EventId id = next_id_++;
-    queue_.push(Event{at < now_ ? now_ : at, id});
-    handlers_.resize(id + 1);
-    handlers_[id] = std::move(fn);
-    ++live_events_;
-    return id;
-  }
-
-  EventId schedule_in(double delay, std::function<void()> fn) {
-    return schedule_at(now_ + delay, std::move(fn));
-  }
-
-  void cancel(EventId id) {
-    if (id < handlers_.size() && handlers_[id]) {
-      handlers_[id] = nullptr;
-      --live_events_;
-    }
-  }
-
-  [[nodiscard]] double now() const noexcept { return now_; }
-  [[nodiscard]] std::size_t pending() const noexcept { return live_events_; }
-  [[nodiscard]] std::uint64_t events_fired() const noexcept {
-    return events_fired_;
-  }
-
-  bool step() {
-    while (!queue_.empty()) {
-      const Event ev = queue_.top();
-      queue_.pop();
-      auto& handler = handlers_[ev.id];
-      if (!handler) continue;  // cancelled tombstone
-      now_ = ev.at;
-      auto fn = std::move(handler);
-      handler = nullptr;
-      --live_events_;
-      ++events_fired_;
-      fn();
-      return true;
-    }
-    return false;
-  }
-
-  void run_until(double deadline) {
-    while (!queue_.empty()) {
-      const Event ev = queue_.top();
-      if (!handlers_[ev.id]) {
-        queue_.pop();
-        continue;
-      }
-      if (ev.at > deadline) break;
-      step();
-    }
-    if (now_ < deadline) now_ = deadline;
-  }
-
-  void run() {
-    while (step()) {
-    }
-  }
-
- private:
-  struct Event {
-    double at;
-    EventId id;
-    friend bool operator>(const Event& a, const Event& b) {
-      if (a.at != b.at) return a.at > b.at;
-      return a.id > b.id;
-    }
-  };
-
-  double now_ = 0.0;
-  EventId next_id_ = 0;
-  std::uint64_t events_fired_ = 0;
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
-  std::vector<std::function<void()>> handlers_;
-  std::size_t live_events_ = 0;
-};
-
 double wall_seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
@@ -155,113 +53,16 @@ struct Pad {
   std::uint64_t b = 0;
 };
 
-// --- hold model: steady-state queue-operation throughput ---------------
-template <class Engine>
-struct Hold {
-  Engine& engine;
-  util::Xoshiro256 rng{13};
-  std::uint64_t budget;
-
-  void arm() {
-    engine.schedule_in(rng.uniform() * 100.0, [this, pad = Pad{}] {
-      (void)pad;
-      if (budget > 0) {
-        --budget;
-        arm();
-      }
-    });
-  }
-};
-
-template <class Engine>
-double queue_ops_per_sec(std::size_t population, std::uint64_t events) {
-  Engine engine;
-  Hold<Engine> hold{engine, util::Xoshiro256{13}, events};
-  for (std::size_t i = 0; i < population; ++i) hold.arm();
-  const auto start = std::chrono::steady_clock::now();
-  engine.run();
-  const double wall = wall_seconds_since(start);
-  return static_cast<double>(engine.events_fired()) / wall;
-}
-
-/// sim::SimEngine with a queue kind chosen at construction, adapted to
-/// the default-constructible shape the templates expect.
-template <sim::QueueKind Kind>
-struct KernelEngine : sim::SimEngine {
-  KernelEngine() : sim::SimEngine(Kind) {}
-};
-
-// --- the pre-PR message layer, frozen alongside the engine -------------
-// String-keyed network and string-record bus: the header carried five
-// std::strings (built per send — the campaign concatenated
-// "client:" + name on every message), the record was copied whether or
-// not tracing was on, and a fan-out scheduled one engine event per
-// recipient. All of that is what §4g replaced.
-struct LegacyNetwork {
-  sim::LinkSpec intra_site{0.0005, 12.0 * 1024 * 1024};
-  sim::LinkSpec inter_site{0.030, 2.0 * 1024 * 1024};
-  std::map<std::pair<std::string, std::string>, sim::LinkSpec> overrides;
-
-  [[nodiscard]] double transfer_time(std::size_t bytes,
-                                     const std::string& site_a,
-                                     const std::string& site_b,
-                                     bool same_host = false) const {
-    if (same_host) return 1e-6;
-    const auto it = overrides.find(site_a <= site_b
-                                       ? std::make_pair(site_a, site_b)
-                                       : std::make_pair(site_b, site_a));
-    const sim::LinkSpec link = it != overrides.end()
-                                   ? it->second
-                                   : (site_a == site_b ? intra_site
-                                                       : inter_site);
-    return link.latency_s + static_cast<double>(bytes) / link.bandwidth_bps;
-  }
-};
-
-struct LegacyRecord {
-  double sent_at = 0.0;
-  double delivered_at = 0.0;
-  std::string from;
-  std::string from_site;
-  std::string to;
-  std::string to_site;
-  std::string kind;
-  std::size_t bytes = 0;
-};
-
-struct LegacyBus {
-  LegacyEngine& engine;
-  LegacyNetwork& network;
-  std::uint64_t messages_sent = 0;
-  std::uint64_t bytes_sent = 0;
-
-  double send(const LegacyRecord& header, std::function<void()> handler) {
-    const double delay =
-        network.transfer_time(header.bytes, header.from_site, header.to_site,
-                              /*same_host=*/header.from == header.to);
-    LegacyRecord record = header;  // copied even with tracing off (pre-PR)
-    record.sent_at = engine.now();
-    record.delivered_at = engine.now() + delay;
-    ++messages_sent;
-    bytes_sent += header.bytes;
-    engine.schedule_in(delay, std::move(handler));
-    return delay;
-  }
-};
-
 // --- hostload: campaign-shaped messaging workload at N hosts -----------
 // Every host runs a ~1 s quantum loop: re-arm a 30 s watchdog (the
 // split-timeout idiom — cancel + reschedule on every tick) and report to
 // the master over the bus. Every kShareEvery-th quantum the report is a
 // CLAUSES share; on its delivery the master relays the batch to every
 // other host, exactly like Campaign::on_client_clauses (§3.2 "shares
-// clauses globally as soon as they are generated"). The legacy side
-// relays the pre-PR way — a per-recipient send loop with per-send string
-// headers — while the new side folds the fan-out into a DeliveryBatch.
-// The rng is drawn in firing order, which both systems reproduce
-// exactly, so legacy and new simulate the same virtual history —
-// identical message counts, identical delivery times — and wall time is
-// the only difference.
+// clauses globally as soon as they are generated"), folding the fan-out
+// into one DeliveryBatch. The rng is drawn in firing order, so a seed
+// fixes the virtual history: message and logical-event counts are a
+// workload fingerprint, and wall time is the only measured quantity.
 constexpr std::uint64_t kShareEvery = 64;
 constexpr std::size_t kHostSites = 16;
 constexpr std::size_t kReportBytes = 96;
@@ -277,109 +78,7 @@ struct HostLoadResult {
   }
 };
 
-struct LegacyHostLoad {
-  std::size_t n;
-  double horizon;
-  util::Xoshiro256 rng;
-  LegacyEngine engine;
-  LegacyNetwork network;
-  LegacyBus bus{engine, network};
-  std::vector<std::string> name;
-  std::vector<std::string> site;
-  std::vector<std::uint64_t> watchdog;
-  std::vector<std::uint64_t> quantum_no;
-  std::uint64_t ticks = 0;
-  std::uint64_t reports = 0;
-  std::uint64_t deliveries = 0;
-  std::uint64_t watchdog_fires = 0;
-
-  LegacyHostLoad(std::size_t n, double horizon, std::uint64_t seed)
-      : n(n), horizon(horizon), rng(seed), watchdog(n, ~std::uint64_t{0}),
-        quantum_no(n, 0) {
-    for (std::size_t i = 0; i < n; ++i) {
-      name.push_back("g" + std::to_string(i));
-      site.push_back("site" + std::to_string(i % kHostSites));
-    }
-  }
-
-  /// Mirror of the pre-PR Campaign::send: the caller passes strings,
-  /// the header is built from copies of them, and LegacyBus::send
-  /// copies the record once more.
-  void send_msg(const std::string& from, const std::string& from_site,
-                const std::string& to, const std::string& to_site,
-                const std::string& kind, std::size_t bytes,
-                std::function<void()> handler) {
-    LegacyRecord h;
-    h.from = from;
-    h.from_site = from_site;
-    h.to = to;
-    h.to_site = to_site;
-    h.kind = kind;
-    h.bytes = bytes;
-    bus.send(h, std::move(handler));
-  }
-
-  HostLoadResult run() {
-    for (std::size_t i = 0; i < n; ++i) {
-      engine.schedule_at(rng.uniform(), [this, i, pad = Pad{}] {
-        (void)pad;
-        tick(i);
-      });
-    }
-    const auto start = std::chrono::steady_clock::now();
-    engine.run_until(horizon);
-    HostLoadResult r;
-    r.wall_s = wall_seconds_since(start);
-    r.kernel_events = engine.events_fired();
-    r.logical_events = ticks + reports + deliveries + watchdog_fires;
-    r.messages = bus.messages_sent;
-    return r;
-  }
-
-  void tick(std::size_t i) {
-    ++ticks;
-    if (engine.now() >= horizon) return;
-    engine.cancel(watchdog[i]);
-    watchdog[i] = engine.schedule_in(30.0, [this, pad = Pad{}] {
-      (void)pad;
-      ++watchdog_fires;
-    });
-    // Pre-PR send path: "client:" + name concatenated per message.
-    if (++quantum_no[i] % kShareEvery == 0) {
-      send_msg("client:" + name[i], site[i], "master", "site0", "CLAUSES",
-               kClauseBatchBytes, [this, i, pad = Pad{}] {
-                 (void)pad;
-                 ++reports;
-                 relay(i);
-               });
-    } else {
-      send_msg("client:" + name[i], site[i], "master", "site0", "REPORT",
-               kReportBytes, [this, pad = Pad{}] {
-                 (void)pad;
-                 ++reports;
-               });
-    }
-    engine.schedule_in(0.8 + 0.4 * rng.uniform(), [this, i, pad = Pad{}] {
-      (void)pad;
-      tick(i);
-    });
-  }
-
-  /// The pre-PR clause relay: one bus send per recipient, each with its
-  /// own freshly concatenated string header.
-  void relay(std::size_t from) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j == from) continue;
-      send_msg("master", "site0", "client:" + name[j], site[j], "CLAUSES",
-               kClauseBatchBytes, [this, pad = Pad{}] {
-                 (void)pad;
-                 ++deliveries;
-               });
-    }
-  }
-};
-
-struct KernelHostLoad {
+struct HostLoad {
   std::size_t n;
   double horizon;
   util::Xoshiro256 rng;
@@ -400,10 +99,9 @@ struct KernelHostLoad {
   std::uint64_t deliveries = 0;
   std::uint64_t watchdog_fires = 0;
 
-  KernelHostLoad(sim::QueueKind kind, std::size_t n, double horizon,
-                 std::uint64_t seed)
-      : n(n), horizon(horizon), rng(seed), engine(kind),
-        watchdog(n, sim::kNoEvent), quantum_no(n, 0) {
+  HostLoad(std::size_t n, double horizon, std::uint64_t seed)
+      : n(n), horizon(horizon), rng(seed), watchdog(n, sim::kNoEvent),
+        quantum_no(n, 0) {
     master = names.intern("master");
     master_site = names.intern("site0");
     report_kind = names.intern("REPORT");
@@ -516,8 +214,7 @@ ScaleRow run_scale_row(const cnf::CnfFormula& formula, std::size_t n_hosts,
 int main(int argc, char** argv) {
   util::Flags flags;
   flags.define_bool("quick", false, "CI smoke: shorter horizons, small sweep");
-  flags.define_str("mode", "all",
-                   "all | queue_micro | hostload | table2_scale");
+  flags.define_str("mode", "all", "all | hostload | table2_scale");
   flags.define_str("instance", "pigeonhole-9",
                    "instance for the table2_scale rows");
   flags.define_str("topology", "both",
@@ -532,114 +229,46 @@ int main(int argc, char** argv) {
   const bool quick = flags.boolean("quick");
   const auto seed = static_cast<std::uint64_t>(flags.i64("seed"));
   const std::string& mode = flags.str("mode");
+  if (mode != "all" && mode != "hostload" && mode != "table2_scale") {
+    std::fprintf(stderr, "unknown --mode=%s (all | hostload | table2_scale)\n",
+                 mode.c_str());
+    return 2;
+  }
   const auto mode_on = [&mode](const char* name) {
     return mode == "all" || mode == name;
   };
   std::string json_rows;
 
-  // --- queue-operation micro ------------------------------------------
-  if (mode_on("queue_micro")) {
-    std::printf("Queue-op micro (hold model): ops/s at fixed population\n");
-    std::printf("%-12s %-14s %-14s %-14s\n", "population", "legacy",
-                "quadheap", "calendar");
-    std::vector<std::size_t> populations = {1024, 16384, 131072};
-    if (quick) populations = {1024, 16384};
-    for (const std::size_t population : populations) {
-      const std::uint64_t events = quick ? 200000 : 1000000;
-      const double legacy = queue_ops_per_sec<LegacyEngine>(population, events);
-      const double quad =
-          queue_ops_per_sec<KernelEngine<sim::QueueKind::kQuadHeap>>(population,
-                                                                     events);
-      const double calendar =
-          queue_ops_per_sec<KernelEngine<sim::QueueKind::kCalendar>>(population,
-                                                                     events);
-      std::printf("%-12zu %-14.3e %-14.3e %-14.3e\n", population, legacy, quad,
-                  calendar);
-      std::fflush(stdout);
-      for (const auto& [kernel, ops] :
-           {std::pair<const char*, double>{"legacy", legacy},
-            {"quadheap", quad},
-            {"calendar", calendar}}) {
-        util::JsonWriter json;
-        json.begin_object()
-            .field("bench", "simcore")
-            .field("mode", "queue_micro")
-            .field("kernel", kernel)
-            .field("population", static_cast<std::uint64_t>(population))
-            .field("ops_per_sec", ops)
-            .end_object();
-        json_rows += json.str();
-        json_rows += '\n';
-      }
-    }
-
-  }
-
   // --- hostload: events/s at N hosts ----------------------------------
   if (mode_on("hostload")) {
     const double horizon = quick ? 120.0 : 600.0;
-    std::printf("\nHostload: campaign-shaped workload, horizon %.0f virtual s\n",
+    std::printf("Hostload: campaign-shaped workload, horizon %.0f virtual s\n",
                 horizon);
-    std::printf("%-8s %-10s %-14s %-14s %-12s %-12s\n", "hosts", "kernel",
-                "events/s", "virt-s/wall-s", "messages", "vs legacy");
+    std::printf("%-8s %-10s %-14s %-14s %-12s %-14s\n", "hosts", "kernel",
+                "events/s", "virt-s/wall-s", "messages", "logical events");
     for (const std::size_t n_hosts : {std::size_t{100}, std::size_t{1000}}) {
-      const HostLoadResult legacy =
-          LegacyHostLoad(n_hosts, horizon, seed).run();
-      const HostLoadResult calendar =
-          KernelHostLoad(sim::QueueKind::kCalendar, n_hosts, horizon, seed)
-              .run();
-      const HostLoadResult quad =
-          KernelHostLoad(sim::QueueKind::kQuadHeap, n_hosts, horizon, seed)
-              .run();
-      // Same seed, same virtual history: every system must deliver the
-      // same messages and fire the same logical events. (Kernel event
-      // counts legitimately differ — batching folds a broadcast into a
-      // handful of group events.)
-      if (legacy.logical_events != calendar.logical_events ||
-          legacy.logical_events != quad.logical_events ||
-          legacy.messages != calendar.messages ||
-          legacy.messages != quad.messages) {
-        std::fprintf(
-            stderr,
-            "workload divergence: logical events %llu/%llu/%llu, "
-            "messages %llu/%llu/%llu (legacy/calendar/quadheap)\n",
-            static_cast<unsigned long long>(legacy.logical_events),
-            static_cast<unsigned long long>(calendar.logical_events),
-            static_cast<unsigned long long>(quad.logical_events),
-            static_cast<unsigned long long>(legacy.messages),
-            static_cast<unsigned long long>(calendar.messages),
-            static_cast<unsigned long long>(quad.messages));
-        return 1;
-      }
-      const auto emit = [&](const char* kernel, const HostLoadResult& r) {
-        const double speedup =
-            legacy.wall_s > 0 && r.wall_s > 0 ? legacy.wall_s / r.wall_s : 0.0;
-        std::printf("%-8zu %-10s %-14.3e %-14.1f %-12llu %-12.2f\n", n_hosts,
-                    kernel, r.events_per_sec(), horizon / r.wall_s,
-                    static_cast<unsigned long long>(r.messages), speedup);
-        util::JsonWriter json;
-        json.begin_object()
-            .field("bench", "simcore")
-            .field("mode", "hostload")
-            .field("kernel", kernel)
-            .field("hosts", static_cast<std::uint64_t>(n_hosts))
-            .field("horizon_virtual_s", horizon)
-            .field("logical_events", r.logical_events)
-            .field("kernel_events", r.kernel_events)
-            .field("messages", r.messages)
-            .field("events_per_sec", r.events_per_sec())
-            .field("virtual_s_per_wall_s", horizon / r.wall_s)
-            .field("speedup_vs_legacy", speedup)
-            .end_object();
-        json_rows += json.str();
-        json_rows += '\n';
-      };
-      emit("legacy", legacy);
-      emit("calendar", calendar);
-      emit("quadheap", quad);
+      const HostLoadResult r = HostLoad(n_hosts, horizon, seed).run();
+      std::printf("%-8zu %-10s %-14.3e %-14.1f %-12llu %-14llu\n", n_hosts,
+                  "quadheap", r.events_per_sec(), horizon / r.wall_s,
+                  static_cast<unsigned long long>(r.messages),
+                  static_cast<unsigned long long>(r.logical_events));
       std::fflush(stdout);
+      util::JsonWriter json;
+      json.begin_object()
+          .field("bench", "simcore")
+          .field("mode", "hostload")
+          .field("kernel", "quadheap")
+          .field("hosts", static_cast<std::uint64_t>(n_hosts))
+          .field("horizon_virtual_s", horizon)
+          .field("logical_events", r.logical_events)
+          .field("kernel_events", r.kernel_events)
+          .field("messages", r.messages)
+          .field("events_per_sec", r.events_per_sec())
+          .field("virtual_s_per_wall_s", horizon / r.wall_s)
+          .end_object();
+      json_rows += json.str();
+      json_rows += '\n';
     }
-
   }
 
   // --- table2_scale: full campaigns at 100 and 1000 clients ------------

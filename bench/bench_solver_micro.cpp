@@ -6,15 +6,12 @@
 //   * learned-clause minimization on/off;
 //   * the decay-schedule variants (smooth MiniSat-style vs coarse
 //     zChaff-style halving);
-//   * the binary-clause fast path on/off (BCP microarchitecture,
-//     DESIGN.md);
 //   * instance generation and DIMACS round-trip throughput.
 //
 // Besides the google-benchmark suite, `--baseline` runs a reproducible
-// fixed-work propagation-throughput comparison (binary fast path on vs
-// off) and writes machine-readable rows to a JSON file (default
-// BENCH_solver.json) — the perf-trajectory baseline every perf PR
-// regresses against (ROADMAP.md):
+// fixed-work propagation-throughput measurement and writes machine-
+// readable rows to a JSON file (default BENCH_solver.json) — the
+// perf-trajectory baseline every perf PR regresses against (ROADMAP.md):
 //
 //   ./bench_solver_micro --baseline [--json=BENCH_solver.json] [--quick]
 #include <benchmark/benchmark.h>
@@ -125,29 +122,6 @@ void BM_DecaySchedule(benchmark::State& state) {
 }
 BENCHMARK(BM_DecaySchedule)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-void BM_BinaryFastPathToggle(benchmark::State& state) {
-  // The tentpole ablation: identical fixed-work search with the binary
-  // store on (arg 1) vs every clause through the general watchers (arg 0).
-  const bool fast = state.range(1) != 0;
-  const auto f = gen::pigeonhole_unsat(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    solver::SolverConfig config;
-    config.binary_fast_path = fast;
-    solver::CdclSolver solver(f, config);
-    benchmark::DoNotOptimize(solver.solve(2'000'000));
-    state.counters["props"] = static_cast<double>(solver.stats().propagations);
-    state.counters["bin_props"] =
-        static_cast<double>(solver.stats().binary_propagations);
-  }
-  state.SetItemsProcessed(state.iterations() * 2'000'000);
-}
-BENCHMARK(BM_BinaryFastPathToggle)
-    ->Args({9, 0})
-    ->Args({9, 1})
-    ->Args({10, 0})
-    ->Args({10, 1})
-    ->Unit(benchmark::kMillisecond);
-
 void BM_GenerateRandomKsat(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -165,15 +139,14 @@ void BM_DimacsRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_DimacsRoundTrip)->Unit(benchmark::kMillisecond);
 
-// --- Reproducible baseline: BCP throughput, fast path on/off --------------
+// --- Reproducible baseline: BCP throughput --------------------------------
 //
-// Two measurements per instance and config:
+// Two measurements per instance:
 //
-//  * bcp-probe (primary, drives the speedup figures): a fixed rotation of
-//    probe_assume() decisions propagated to fixpoint with no clause
-//    learning. Both configs process identical implication traffic, so the
-//    props/s ratio isolates the propagation machinery itself — the
-//    standard way to benchmark BCP.
+//  * bcp-probe (primary): a fixed rotation of probe_assume() decisions
+//    propagated to fixpoint with no clause learning, so the props/s
+//    figure isolates the propagation machinery itself — the standard way
+//    to benchmark BCP.
 //  * full-solve: a real budgeted solve; status/work/props recorded for
 //    the end-to-end trajectory, props/s over time spent in propagate().
 
@@ -217,10 +190,9 @@ std::vector<cnf::Clause> amo_groups(cnf::Var nv, int groups, int group_size,
 
 struct BaselineRow {
   std::string instance;
-  std::string measurement;  ///< "bcp-probe" or "full-solve"
-  bool binary_fast_path = false;
+  std::string measurement;  ///< "bcp-probe", "full-solve" or "db-probe"
   bool minimize_learned = false;
-  std::string minimize;  ///< "off", "basic", or "recursive"
+  std::string minimize;  ///< "off" or "recursive"
   std::string status;
   std::uint64_t work = 0;
   std::uint64_t propagations = 0;
@@ -232,37 +204,20 @@ struct BaselineRow {
   double props_per_sec = 0.0;  ///< propagations per second of BCP time
 };
 
-/// The three learned-clause minimization tiers of the --minimize flag and
+/// The two learned-clause minimization tiers of the --minimize flag and
 /// the minimize_ablation rows. "recursive" is the shipping default and
-/// includes binary-resolution strengthening; "basic" is the one-reason-
-/// deep check alone; "off" is the paper-era baseline.
+/// includes binary-resolution strengthening; "off" is the paper-era
+/// baseline.
 solver::SolverConfig minimize_mode_config(std::string_view mode) {
   solver::SolverConfig config;
-  if (mode == "off") {
-    config.minimize_learned = false;
-  } else if (mode == "basic") {
-    config.minimize_learned = true;
-    config.minimize_recursive = false;
-    config.minimize_bin = false;
-  } else {  // "recursive"
-    config.minimize_learned = true;
-    config.minimize_recursive = true;
-    config.minimize_bin = true;
-  }
+  config.minimize_learned = mode != "off";
   return config;
 }
 
 bool valid_minimize_mode(std::string_view mode) {
-  return mode == "off" || mode == "basic" || mode == "recursive";
+  return mode == "off" || mode == "recursive";
 }
 
-/// One timed probe shot. The round COUNT is fixed up front (derived only
-/// from the props target and instance size) so both configs replay the
-/// identical decision sequence: propagation fixpoints are config-
-/// independent, so per-round traffic matches and per-round bookkeeping
-/// (assume loop, backtrack walk) cancels in the ratio. A props-target
-/// loop would instead penalise whichever config detects conflicts
-/// earlier.
 double median_of(std::vector<double> v) {
   std::sort(v.begin(), v.end());
   const std::size_t n = v.size();
@@ -272,11 +227,9 @@ double median_of(std::vector<double> v) {
 /// Aggregate repeated shots of one (instance, measurement, config) cell.
 /// Search statistics are deterministic across repeats — only the clock
 /// readings vary — so the aggregate keeps the first shot's counters and
-/// takes the MEDIAN of each timing field. The previous min-of-repeats
-/// policy was noise-seeking: on a loaded machine the min of one config
-/// could land in a quiet window while the other config's shots all hit
-/// load spikes, which is how the committed baseline once showed sub-1.0
-/// "speedups" for a strictly-less-work configuration.
+/// takes the MEDIAN of each timing field (a min-of-repeats policy is
+/// noise-seeking: on a loaded machine one cell's min can land in a quiet
+/// window while a neighbour's shots all hit load spikes).
 BaselineRow median_row(const std::vector<BaselineRow>& shots) {
   BaselineRow row = shots.front();
   std::vector<double> wall;
@@ -296,19 +249,20 @@ BaselineRow median_row(const std::vector<BaselineRow>& shots) {
   return row;
 }
 
+/// One timed probe shot. The round COUNT is fixed up front (derived only
+/// from the props target and instance size) so every shot replays the
+/// identical decision sequence.
 BaselineRow probe_once(const BaselineCase& c, const cnf::CnfFormula& f,
-                       bool fast, std::uint64_t rounds) {
+                       std::uint64_t rounds) {
   BaselineRow row;
   row.instance = c.name;
   row.measurement = "bcp-probe";
-  row.binary_fast_path = fast;
   row.status = "PROBE";
   solver::SolverConfig config;
-  config.binary_fast_path = fast;
   // Rate over time inside propagate() itself (one clock pair per
   // decision — noise floor at these instance sizes), so the probe
-  // bookkeeping (assume loop, conflict backtracks, heap reinserts),
-  // which is identical for both configs, can't dilute the ratio.
+  // bookkeeping (assume loop, conflict backtracks, heap reinserts) can't
+  // dilute it.
   config.measure_propagation = true;
   solver::CdclSolver solver(f, config);
   const cnf::Var nv = f.num_vars();
@@ -342,16 +296,13 @@ BaselineRow probe_once(const BaselineCase& c, const cnf::CnfFormula& f,
 /// One timed budgeted solve. Deterministic: every shot of a config
 /// produces identical search statistics; only the timings vary.
 BaselineRow solve_once(const BaselineCase& c, const cnf::CnfFormula& f,
-                       bool fast, std::string_view minimize,
-                       std::uint64_t budget) {
+                       std::string_view minimize, std::uint64_t budget) {
   BaselineRow row;
   row.instance = c.name;
   row.measurement = "full-solve";
-  row.binary_fast_path = fast;
   row.minimize = minimize;
   solver::SolverConfig config = minimize_mode_config(minimize);
   row.minimize_learned = config.minimize_learned;
-  config.binary_fast_path = fast;
   config.measure_propagation = true;
   solver::CdclSolver solver(f, config);
   const auto start = std::chrono::steady_clock::now();
@@ -384,7 +335,7 @@ int run_baseline(int argc, char** argv) {
   flags.define_i64("budget", 0, "work units per run (0 = default)");
   flags.define_i64("repeats", 5, "timed repeats; reported times = median");
   flags.define_str("minimize", "recursive",
-                   "minimization tier in full-solve runs: off|basic|recursive");
+                   "minimization tier in full-solve runs: off|recursive");
   if (!flags.parse(argc, argv) || !valid_minimize_mode(flags.str("minimize"))) {
     std::fputs(flags.usage("bench_solver_micro").c_str(), stderr);
     return 2;
@@ -405,8 +356,7 @@ int run_baseline(int argc, char** argv) {
   // watch structures overflow L2: the binary store's enqueue path never
   // touches the arena, so its advantage over blockered watchers scales
   // with DB coldness — the regime a long-running distributed solve with a
-  // large learned/imported DB lives in (cache-resident instances measure
-  // parity by design; see DESIGN.md §4a).
+  // large learned/imported DB lives in (see DESIGN.md §4a).
   cases.push_back({"random3sat-v100000-r4.2",
                    gen::random_ksat(100000, 420000, 3, 2003),
                    amo_groups(100000, 2000, 30, 17)});
@@ -425,20 +375,19 @@ int run_baseline(int argc, char** argv) {
       .field("aggregate", "median")
       .key("rows")
       .begin_array();
-  std::printf("%-24s %-11s %-5s %-8s %12s %12s %10s %10s %14s\n", "instance",
-              "measure", "fast", "status", "props", "bin_props", "wall_ms",
-              "bcp_ms", "props/s");
+  std::printf("%-24s %-11s %-8s %12s %12s %10s %10s %14s\n", "instance",
+              "measure", "status", "props", "bin_props", "wall_ms", "bcp_ms",
+              "props/s");
   const auto emit_row = [&json](const BaselineRow& row) {
-    std::printf("%-24s %-11s %-5s %-8s %12llu %12llu %10.1f %10.1f %14.0f\n",
+    std::printf("%-24s %-11s %-8s %12llu %12llu %10.1f %10.1f %14.0f\n",
                 row.instance.c_str(), row.measurement.c_str(),
-                row.binary_fast_path ? "on" : "off", row.status.c_str(),
+                row.status.c_str(),
                 static_cast<unsigned long long>(row.propagations),
                 static_cast<unsigned long long>(row.binary_propagations),
                 row.wall_ms, row.propagation_ms, row.props_per_sec);
     json.begin_object()
         .field("instance", row.instance)
         .field("measurement", row.measurement)
-        .field("binary_fast_path", row.binary_fast_path)
         .field("minimize_learned", row.minimize_learned)
         .field("minimize", row.minimize)
         .field("status", row.status)
@@ -450,48 +399,22 @@ int run_baseline(int argc, char** argv) {
         .field("props_per_sec", row.props_per_sec)
         .end_object();
   };
-  std::vector<std::pair<std::string, double>> speedups;
   for (const BaselineCase& c : cases) {
     cnf::CnfFormula f = c.formula;
     for (const cnf::Clause& cl : c.shared_binaries) f.add_clause(cl);
     const std::uint64_t rounds = std::max<std::uint64_t>(
         1, target_props / std::max<cnf::Var>(1, f.num_vars()));
-    // Interleave the two configs inside every repeat (off, on, off, on,
-    // ...) so machine-load drift on shared hardware — which moves slower
-    // than one repeat pair — cancels in the ratio instead of biasing
-    // whichever config ran later. Each cell reports the MEDIAN of its
-    // repeats (see median_row).
-    std::vector<BaselineRow> probe_shots[2];
-    std::vector<BaselineRow> solve_shots[2];
+    // Each cell reports the MEDIAN of its repeats (see median_row).
+    std::vector<BaselineRow> probe_shots;
+    std::vector<BaselineRow> solve_shots;
     for (int rep = 0; rep < repeats; ++rep) {
-      for (const bool fast : {false, true}) {
-        probe_shots[fast].push_back(probe_once(c, f, fast, rounds));
-        solve_shots[fast].push_back(
-            solve_once(c, f, fast, flags.str("minimize"), budget));
-      }
+      probe_shots.push_back(probe_once(c, f, rounds));
+      solve_shots.push_back(solve_once(c, f, flags.str("minimize"), budget));
     }
-    BaselineRow probe[2];
-    BaselineRow solve[2];
-    for (const bool fast : {false, true}) {
-      probe[fast] = median_row(probe_shots[fast]);
-      solve[fast] = median_row(solve_shots[fast]);
-    }
-    for (const bool fast : {false, true}) {
-      emit_row(probe[fast]);
-      emit_row(solve[fast]);
-    }
-    speedups.emplace_back(
-        c.name, probe[false].props_per_sec > 0.0
-                    ? probe[true].props_per_sec / probe[false].props_per_sec
-                    : 0.0);
+    emit_row(median_row(probe_shots));
+    emit_row(median_row(solve_shots));
   }
-  json.end_array().key("speedup_props_per_sec").begin_object();
-  std::printf("\nspeedup (bcp-probe props/s, fast path on vs off):\n");
-  for (const auto& [name, speedup] : speedups) {
-    std::printf("  %-24s %.2fx\n", name.c_str(), speedup);
-    json.field(name, speedup);
-  }
-  json.end_object().end_object();
+  json.end_array().end_object();
 
   const std::string& path = flags.str("json");
   if (!path.empty()) {
@@ -508,8 +431,8 @@ int run_baseline(int argc, char** argv) {
   return 0;
 }
 
-// Minimization-tier ablation (ISSUE 6 / DESIGN.md §4f): budgeted full
-// solves on learning-heavy instances under the three --minimize tiers,
+// Minimization-tier ablation (DESIGN.md §4f): budgeted full solves on
+// learning-heavy instances under the two --minimize tiers,
 // interleaved within each repeat so load drift cancels, medians reported.
 // Rows carry "bench":"minimize_ablation" so they can share a JSON file
 // with the --baseline object (use --append; the file then holds one JSON
@@ -552,7 +475,8 @@ int run_minimize_ablation(int argc, char** argv) {
   cases.push_back(
       {"random3sat-v500-r4.25", gen::random_ksat(500, 2125, 3, 9), {}});
 
-  static constexpr std::string_view kModes[3] = {"off", "basic", "recursive"};
+  static constexpr std::string_view kModes[] = {"off", "recursive"};
+  constexpr int kNumModes = static_cast<int>(std::size(kModes));
   util::JsonWriter json;
   json.begin_object()
       .field("bench", "minimize_ablation")
@@ -578,7 +502,6 @@ int run_minimize_ablation(int argc, char** argv) {
         .field("measurement", row.measurement)
         .field("minimize", row.minimize)
         .field("minimize_learned", row.minimize_learned)
-        .field("binary_fast_path", row.binary_fast_path)
         .field("status", row.status)
         .field("work", row.work)
         .field("conflicts", row.conflicts)
@@ -594,15 +517,15 @@ int run_minimize_ablation(int argc, char** argv) {
   // trajectory, while the probe replays one fixed decision sweep over
   // whatever database each tier built — the clause-length and footprint
   // effect of minimization, isolated from the search it steered.
-  double geomean[3] = {0.0, 0.0, 0.0};
+  double geomean[kNumModes] = {};
   for (const BaselineCase& c : cases) {
     const std::uint64_t rounds = std::max<std::uint64_t>(
         1, (quick ? 200'000 : 500'000) /
                std::max<cnf::Var>(1, c.formula.num_vars()));
-    std::vector<BaselineRow> solve_shots[3];
-    std::vector<BaselineRow> probe_shots[3];
+    std::vector<BaselineRow> solve_shots[kNumModes];
+    std::vector<BaselineRow> probe_shots[kNumModes];
     for (int rep = 0; rep < repeats; ++rep) {
-      for (int m = 0; m < 3; ++m) {
+      for (int m = 0; m < kNumModes; ++m) {
         // Build the tier's database with a budgeted solve (timed: the
         // full-solve row), then sweep the fixed probe over it.
         solver::SolverConfig config = minimize_mode_config(kModes[m]);
@@ -611,7 +534,6 @@ int run_minimize_ablation(int argc, char** argv) {
         BaselineRow row;
         row.instance = c.name;
         row.measurement = "full-solve";
-        row.binary_fast_path = config.binary_fast_path;
         row.minimize = kModes[m];
         row.minimize_learned = config.minimize_learned;
         auto start = std::chrono::steady_clock::now();
@@ -664,7 +586,7 @@ int run_minimize_ablation(int argc, char** argv) {
         probe_shots[m].push_back(probe);
       }
     }
-    for (int m = 0; m < 3; ++m) {
+    for (int m = 0; m < kNumModes; ++m) {
       emit_row(median_row(solve_shots[m]));
       const BaselineRow probe = median_row(probe_shots[m]);
       emit_row(probe);
@@ -673,7 +595,7 @@ int run_minimize_ablation(int argc, char** argv) {
   }
   json.end_array().key("geomean_probe_props_per_sec").begin_object();
   std::printf("\ndb-probe props/s geomean by minimization tier:\n");
-  for (int m = 0; m < 3; ++m) {
+  for (int m = 0; m < kNumModes; ++m) {
     const double g = std::exp(geomean[m] / static_cast<double>(cases.size()));
     std::printf("  %-10s %14.0f\n", std::string(kModes[m]).c_str(), g);
     json.field(std::string(kModes[m]), g);

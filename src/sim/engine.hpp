@@ -13,9 +13,8 @@
 // (the id already fired and its slot was recycled) is detected by the
 // generation mismatch instead of silently killing an unrelated event.
 // Handlers are small-buffer Callbacks (no per-event heap allocation for
-// ordinary captures), and the pending set is a calendar queue by default
-// with a 4-ary heap fallback — both cancel eagerly, both fire in the
-// identical (time, sequence) order.
+// ordinary captures), and the pending set is a 4-ary heap that cancels
+// eagerly and fires in (time, sequence) order.
 #pragma once
 
 #include <cassert>
@@ -35,15 +34,9 @@ using EventId = std::uint64_t;
 
 inline constexpr EventId kNoEvent = 0;
 
-/// Which structure backs the pending-event set. Firing order is
-/// identical for both (see event_queue.hpp); the choice is purely a
-/// performance knob, profiled in bench_simcore.
-enum class QueueKind : std::uint8_t { kCalendar, kQuadHeap };
-
 class SimEngine {
  public:
-  explicit SimEngine(QueueKind kind = QueueKind::kCalendar)
-      : kind_(kind), calendar_(where_), heap_(where_) {}
+  SimEngine() : heap_(where_) {}
 
   SimEngine(const SimEngine&) = delete;
   SimEngine& operator=(const SimEngine&) = delete;
@@ -57,12 +50,7 @@ class SimEngine {
     Slot& s = slots_[slot];
     s.fn = std::move(fn);
     s.scheduled_at = now_;
-    const QueuedEvent e{at, next_seq_++, slot};
-    if (kind_ == QueueKind::kCalendar) {
-      calendar_.push(e);
-    } else {
-      heap_.push(e);
-    }
+    heap_.push(QueuedEvent{at, next_seq_++, slot});
     return make_id(s.generation, slot);
   }
 
@@ -82,11 +70,7 @@ class SimEngine {
     if (s.generation != generation_of(id) || where_[slot] == kNotQueued) {
       return;
     }
-    if (kind_ == QueueKind::kCalendar) {
-      calendar_.remove_slot(slot);
-    } else {
-      heap_.remove_slot(slot);
-    }
+    heap_.remove_slot(slot);
     s.fn.reset();
     release_slot(slot);
   }
@@ -121,12 +105,11 @@ class SimEngine {
   [[nodiscard]] SimTime now() const noexcept { return now_; }
   [[nodiscard]] bool empty() const noexcept { return pending() == 0; }
   [[nodiscard]] std::size_t pending() const noexcept {
-    return kind_ == QueueKind::kCalendar ? calendar_.size() : heap_.size();
+    return heap_.size();
   }
   [[nodiscard]] std::uint64_t events_fired() const noexcept {
     return events_fired_;
   }
-  [[nodiscard]] QueueKind queue_kind() const noexcept { return kind_; }
   /// Slab capacity — tracks the peak concurrent event count, not the
   /// total ever scheduled (introspection for tests/benches).
   [[nodiscard]] std::size_t slab_slots() const noexcept {
@@ -136,8 +119,7 @@ class SimEngine {
   /// Fire the next event; returns false when the queue is exhausted.
   bool step() {
     if (pending() == 0) return false;
-    const QueuedEvent ev =
-        kind_ == QueueKind::kCalendar ? calendar_.pop_min() : heap_.pop_min();
+    const QueuedEvent ev = heap_.pop_min();
     Slot& s = slots_[ev.slot];
     now_ = ev.at;
     if constexpr (obs::kTraceCompiledIn) {
@@ -160,9 +142,7 @@ class SimEngine {
   /// now() is at least `deadline`.
   void run_until(SimTime deadline) {
     while (pending() > 0) {
-      const QueuedEvent& ev =
-          kind_ == QueueKind::kCalendar ? calendar_.min() : heap_.min();
-      if (ev.at > deadline) break;
+      if (heap_.min().at > deadline) break;
       step();
     }
     if (now_ < deadline) now_ = deadline;
@@ -211,16 +191,14 @@ class SimEngine {
     free_slots_.push_back(slot);
   }
 
-  QueueKind kind_;
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_fired_ = 0;
   /// Slab of reusable event records + LIFO free list (hot slots stay
-  /// cache-resident) + queue-position backlinks shared with the queues.
+  /// cache-resident) + heap-position backlinks shared with the heap.
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::vector<std::uint32_t> where_;
-  CalendarQueue calendar_;
   QuadHeap heap_;
   obs::Tracer* tracer_ = nullptr;
   obs::MetricRegistry* metrics_ = nullptr;

@@ -1,28 +1,16 @@
-// Priority structures for the discrete-event kernel (DESIGN.md §4g).
+// Priority structure for the discrete-event kernel (DESIGN.md §4g).
 //
-// Two interchangeable pending-event sets, both totally ordered by
-// (time, insertion sequence) so the firing order — and therefore every
-// seeded campaign replay — is identical regardless of which one backs
-// the engine:
+// QuadHeap is the pending-event set: a 4-ary implicit min-heap, totally
+// ordered by (time, insertion sequence) so the firing order — and
+// therefore every seeded campaign replay — is deterministic. Per-slot
+// position backlinks make cancellation an eager O(log n) removal instead
+// of a tombstone, so pending() is exact and a cancel-heavy run never
+// drags dead entries through pops. The 4-ary layout halves the tree
+// height of a binary heap and keeps child scans inside one cache line.
 //
-//  * QuadHeap — a 4-ary implicit min-heap with per-slot position
-//    backlinks. Cancellation removes the entry eagerly in O(log n)
-//    instead of leaving a tombstone, so pending() is exact and a
-//    cancel-heavy run never drags dead entries through pops. The 4-ary
-//    layout halves the tree height of a binary heap and keeps child
-//    scans inside one cache line.
-//
-//  * CalendarQueue — a classic bucketed calendar (R. Brown, CACM 1988)
-//    with an adaptive bucket width estimated from the median inter-event
-//    gap. Push and pop are O(1) when the event-time distribution is
-//    anything like uniform over a window, which grid campaigns are
-//    (compute-slice quanta dominate). Far-future outliers (the overall-
-//    timeout sentinel at 1e12 virtual seconds) are handled by the
-//    year-wrap dequeue with a direct-search fallback.
-//
-// Both index entries by the engine's slab slot and maintain the shared
-// `where` backlink array, so the engine can cancel by slot id without
-// searching.
+// Entries are indexed by the engine's slab slot, and the heap maintains
+// the shared `where` backlink array, so the engine can cancel by slot id
+// without searching.
 #pragma once
 
 #include <algorithm>
@@ -145,221 +133,6 @@ class QuadHeap {
 
   std::vector<QueuedEvent> heap_;
   std::vector<std::uint32_t>& where_;
-};
-
-class CalendarQueue {
- public:
-  /// `where` maps slot -> bucket index (removal scans the one bucket).
-  explicit CalendarQueue(std::vector<std::uint32_t>& where)
-      : where_(where) {
-    buckets_.resize(kMinBuckets);
-  }
-
-  void push(const QueuedEvent& e) {
-    const std::size_t b = bucket_of(e.at);
-    buckets_[b].push_back(e);
-    where_[e.slot] = static_cast<std::uint32_t>(b);
-    ++n_;
-    ++version_;
-    // Keep the cursor invariant: no entry lives in an earlier virtual
-    // bucket than the cursor. The engine clamps times to >= now, but a
-    // peek may have advanced the cursor past `now` through empty
-    // buckets (run_until deadline, elastic idle periods).
-    const std::uint64_t vb = virtual_bucket(e.at);
-    if (vb < cursor_vb_) cursor_vb_ = vb;
-    if (n_ > buckets_.size() * 2 && buckets_.size() < kMaxBuckets) {
-      rebuild(buckets_.size() * 2);
-    }
-  }
-
-  [[nodiscard]] bool empty() const noexcept { return n_ == 0; }
-  [[nodiscard]] std::size_t size() const noexcept { return n_; }
-
-  /// Locate (without removing) the earliest entry. Advances the dequeue
-  /// cursor; the found position is cached until the next mutation.
-  const QueuedEvent& min() {
-    assert(n_ > 0);
-    if (cached_version_ != version_) locate_min();
-    return buckets_[cached_bucket_][cached_index_];
-  }
-
-  QueuedEvent pop_min() {
-    const QueuedEvent e = min();
-    remove_from_bucket(cached_bucket_, cached_index_);
-    return e;
-  }
-
-  /// Eagerly remove the entry belonging to `slot` (must be queued).
-  void remove_slot(std::uint32_t slot) {
-    const std::size_t b = where_[slot];
-    assert(b != kNotQueued);
-    auto& bucket = buckets_[b];
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      if (bucket[i].slot == slot) {
-        remove_from_bucket(b, i);
-        return;
-      }
-    }
-    assert(false && "where_ pointed at a bucket missing the slot");
-  }
-
-  void clear() noexcept {
-    for (auto& b : buckets_) b.clear();
-    n_ = 0;
-    cursor_vb_ = 0;
-    ++version_;
-  }
-
-  /// Current bucket count (introspection for tests/benches).
-  [[nodiscard]] std::size_t bucket_count() const noexcept {
-    return buckets_.size();
-  }
-
- private:
-  static constexpr std::size_t kMinBuckets = 16;
-  static constexpr std::size_t kMaxBuckets = std::size_t{1} << 20;
-
-  /// Virtual (un-wrapped) bucket index of a time under the current
-  /// width. Comparing these exactly — instead of accumulating a
-  /// floating-point bucket top — keeps the year-wrap dequeue free of
-  /// drift. Guarded against times/widths whose quotient overflows the
-  /// integer range (the 1e12 timeout sentinel with a microsecond-scale
-  /// width): such events land beyond any cursor year and are only ever
-  /// found by the direct-search fallback, so saturating is safe.
-  [[nodiscard]] std::uint64_t virtual_bucket(SimTime at) const noexcept {
-    const double q = at / width_;
-    if (q >= 9.2e18) return std::numeric_limits<std::uint64_t>::max();
-    return static_cast<std::uint64_t>(q);
-  }
-
-  [[nodiscard]] std::size_t bucket_of(SimTime at) const noexcept {
-    return static_cast<std::size_t>(virtual_bucket(at) % buckets_.size());
-  }
-
-  void remove_from_bucket(std::size_t b, std::size_t i) {
-    auto& bucket = buckets_[b];
-    where_[bucket[i].slot] = kNotQueued;
-    bucket[i] = bucket.back();  // order within a bucket is irrelevant
-    bucket.pop_back();
-    --n_;
-    ++version_;
-    if (n_ > 0 && n_ * 4 < buckets_.size() &&
-        buckets_.size() > kMinBuckets) {
-      rebuild(buckets_.size() / 2);
-    }
-  }
-
-  /// Advance the cursor to the earliest entry. Standard calendar
-  /// dequeue: scan the cursor bucket for entries in the cursor's
-  /// virtual bucket (i.e. this "year"); walk forward through at most
-  /// one full year of buckets; beyond that, fall back to a direct
-  /// search across all buckets and jump the cursor there.
-  void locate_min() {
-    const std::size_t nb = buckets_.size();
-    for (std::size_t scanned = 0; scanned < nb; ++scanned) {
-      const std::size_t b = static_cast<std::size_t>(cursor_vb_ % nb);
-      const auto& bucket = buckets_[b];
-      std::size_t best = bucket.size();
-      for (std::size_t i = 0; i < bucket.size(); ++i) {
-        if (virtual_bucket(bucket[i].at) != cursor_vb_) continue;
-        if (best == bucket.size() ||
-            event_before(bucket[i], bucket[best])) {
-          best = i;
-        }
-      }
-      if (best != bucket.size()) {
-        cached_bucket_ = b;
-        cached_index_ = best;
-        cached_version_ = version_;
-        return;
-      }
-      ++cursor_vb_;
-    }
-    // Sparse region: nothing within a year of the cursor. Direct search.
-    std::size_t best_b = nb;
-    std::size_t best_i = 0;
-    for (std::size_t b = 0; b < nb; ++b) {
-      for (std::size_t i = 0; i < buckets_[b].size(); ++i) {
-        if (best_b == nb ||
-            event_before(buckets_[b][i], buckets_[best_b][best_i])) {
-          best_b = b;
-          best_i = i;
-        }
-      }
-    }
-    assert(best_b != nb);
-    cursor_vb_ = virtual_bucket(buckets_[best_b][best_i].at);
-    cached_bucket_ = best_b;
-    cached_index_ = best_i;
-    cached_version_ = version_;
-  }
-
-  /// Re-bucket everything under a new size and a width re-estimated
-  /// from the median inter-event gap of a sample (robust to the
-  /// far-future timeout outliers that would wreck a mean).
-  void rebuild(std::size_t new_size) {
-    std::vector<QueuedEvent> all;
-    all.reserve(n_);
-    for (auto& b : buckets_) {
-      all.insert(all.end(), b.begin(), b.end());
-      b.clear();
-    }
-    width_ = estimate_width(all);
-    buckets_.assign(new_size, {});
-    std::uint64_t min_vb = std::numeric_limits<std::uint64_t>::max();
-    for (const QueuedEvent& e : all) {
-      const std::size_t b = bucket_of(e.at);
-      buckets_[b].push_back(e);
-      where_[e.slot] = static_cast<std::uint32_t>(b);
-      const std::uint64_t vb = virtual_bucket(e.at);
-      if (vb < min_vb) min_vb = vb;
-    }
-    cursor_vb_ = all.empty() ? 0 : min_vb;
-    ++version_;
-  }
-
-  [[nodiscard]] double estimate_width(
-      std::vector<QueuedEvent>& all) const {
-    constexpr std::size_t kSample = 64;
-    const std::size_t take = std::min(all.size(), kSample);
-    if (take < 2) return width_;
-    // Deterministic strided sample of firing times.
-    std::vector<double> times;
-    times.reserve(take);
-    const std::size_t stride = all.size() / take;
-    for (std::size_t i = 0; i < take; ++i) times.push_back(all[i * stride].at);
-    std::sort(times.begin(), times.end());
-    std::vector<double> gaps;
-    gaps.reserve(take - 1);
-    for (std::size_t i = 1; i < take; ++i) {
-      const double g = times[i] - times[i - 1];
-      if (g > 0.0) gaps.push_back(g);
-    }
-    if (gaps.empty()) return width_;
-    std::nth_element(gaps.begin(), gaps.begin() + gaps.size() / 2,
-                     gaps.end());
-    // Each strided gap spans ~`stride` true inter-event gaps; scale it
-    // back down, then aim for a few events per bucket around the true
-    // median spacing.
-    const double w = gaps[gaps.size() / 2] /
-                     static_cast<double>(std::max<std::size_t>(stride, 1)) *
-                     3.0;
-    if (!(w > 1e-9) || !(w < 1e15)) return width_;
-    return w;
-  }
-
-  std::vector<std::vector<QueuedEvent>> buckets_;
-  std::vector<std::uint32_t>& where_;
-  double width_ = 1.0;
-  std::size_t n_ = 0;
-  /// Virtual bucket the dequeue cursor sits in; invariant: no queued
-  /// entry has a smaller virtual bucket.
-  std::uint64_t cursor_vb_ = 0;
-  /// min() cache, invalidated by any mutation.
-  std::uint64_t version_ = 1;
-  std::uint64_t cached_version_ = 0;
-  std::size_t cached_bucket_ = 0;
-  std::size_t cached_index_ = 0;
 };
 
 }  // namespace gridsat::sim

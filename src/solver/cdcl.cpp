@@ -314,12 +314,9 @@ ClauseRef CdclSolver::propagate_binary(Lit falsified, std::uint32_t dl) {
 }
 
 ClauseRef CdclSolver::propagate() {
-  if (!config_.measure_propagation) {
-    return config_.binary_fast_path ? propagate_fast() : propagate_legacy();
-  }
+  if (!config_.measure_propagation) return propagate_fast();
   const auto t0 = std::chrono::steady_clock::now();
-  const ClauseRef confl =
-      config_.binary_fast_path ? propagate_fast() : propagate_legacy();
+  const ClauseRef confl = propagate_fast();
   stats_.propagation_ns += static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - t0)
@@ -417,63 +414,6 @@ ClauseRef CdclSolver::propagate_fast() {
       ++stats_.propagations;
     }
     ws.resize(static_cast<std::size_t>(j - begin));
-  }
-  return kNoClause;
-}
-
-ClauseRef CdclSolver::propagate_legacy() {
-  // Paper-era hot path (binary_fast_path = false): every clause, binaries
-  // included, goes through the general two-watched-literal machinery, as
-  // in the zChaff the paper builds on. Kept verbatim as the ablation
-  // baseline for BENCH_solver.json and for historical fidelity.
-  while (qhead_ < trail_.size()) {
-    const Lit p = trail_[qhead_++];  // p just became true
-    const Lit falsified = ~p;
-    auto& ws = watches_[falsified.code()];
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < ws.size(); ++i) {
-      ++stats_.work;
-      const Watcher w = ws[i];
-      if (value(w.blocker) == LBool::kTrue) {
-        ws[keep++] = w;
-        continue;
-      }
-      const ClauseRef cref = w.cref;
-      // Normalize: watched slot 1 holds the falsified literal.
-      if (arena_.lit(cref, 0) == falsified) arena_.swap_lits(cref, 0, 1);
-      assert(arena_.lit(cref, 1) == falsified);
-      const Lit first = arena_.lit(cref, 0);
-      if (first != w.blocker && value(first) == LBool::kTrue) {
-        ws[keep++] = Watcher{cref, first};
-        continue;
-      }
-      // Look for a replacement watch among the tail literals.
-      const std::uint32_t size = arena_.size(cref);
-      bool moved = false;
-      for (std::uint32_t k = 2; k < size; ++k) {
-        ++stats_.work;
-        const Lit cand = arena_.lit(cref, k);
-        if (value(cand) != LBool::kFalse) {
-          arena_.swap_lits(cref, 1, k);
-          watches_[cand.code()].push_back(Watcher{cref, first});
-          moved = true;
-          break;
-        }
-      }
-      if (moved) continue;
-      // Clause is unit or conflicting.
-      ws[keep++] = Watcher{cref, first};
-      if (value(first) == LBool::kFalse) {
-        // Conflict: restore the remaining watchers and report.
-        for (std::size_t j = i + 1; j < ws.size(); ++j) ws[keep++] = ws[j];
-        ws.resize(keep);
-        qhead_ = trail_.size();
-        return cref;
-      }
-      enqueue(first, cref);
-      ++stats_.propagations;
-    }
-    ws.resize(keep);
   }
   return kNoClause;
 }
@@ -616,7 +556,7 @@ void CdclSolver::analyze(ClauseRef confl, std::vector<Lit>& learned,
 
   if (config_.minimize_learned) {
     minimize(learned);
-    if (config_.minimize_bin && config_.binary_fast_path) {
+    if (config_.minimize_bin) {
       strengthen_binary(learned);
     }
   }
@@ -643,37 +583,8 @@ void CdclSolver::analyze(ClauseRef confl, std::vector<Lit>& learned,
 
 void CdclSolver::minimize(std::vector<Lit>& learned) {
   const std::size_t before = learned.size();
-  if (config_.minimize_recursive) {
-    minimize_deep(learned);
-  } else {
-    minimize_basic(learned);
-  }
+  minimize_deep(learned);
   stats_.minimized_literals += before - learned.size();
-}
-
-void CdclSolver::minimize_basic(std::vector<Lit>& learned) {
-  // Local minimization: a literal is redundant if its reason clause is
-  // subsumed by the rest of the learned clause plus untainted level-0
-  // facts. (Self-subsuming resolution; MiniSat's "basic" mode.)
-  for (const Lit l : learned) seen_[l.var()] = 1;
-  std::size_t keep = 1;
-  for (std::size_t i = 1; i < learned.size(); ++i) {
-    const Var v = learned[i].var();
-    const ClauseRef r = vars_[v].reason;
-    bool redundant = r != kDecisionReason && r != kNoClause && vars_[v].level > 0;
-    if (redundant) {
-      for (const Lit q : arena_.lits(r)) {
-        if (q.var() == v) continue;
-        if (seen_[q.var()]) continue;
-        if (vars_[q.var()].level == 0 && !vars_[q.var()].taint) continue;
-        redundant = false;
-        break;
-      }
-    }
-    if (!redundant) learned[keep++] = learned[i];
-  }
-  for (const Lit l : learned) seen_[l.var()] = 0;
-  learned.resize(keep);
 }
 
 void CdclSolver::minimize_deep(std::vector<Lit>& learned) {
@@ -1547,8 +1458,7 @@ std::string CdclSolver::check_invariants() const {
   }
   // Watcher integrity: every live clause of size >= 2 is watched exactly
   // on its first two literals — binary clauses in the binary-implication
-  // store (when the fast path is on), everything else in the general
-  // watch lists, and never in both.
+  // store, everything else in the general watch lists, and never in both.
   std::string result;
   arena_.for_each([&](ClauseRef r) {
     if (!result.empty()) return;
@@ -1581,24 +1491,21 @@ std::string CdclSolver::check_invariants() const {
     }
   });
   if (!result.empty()) return result;
-  // Occupancy bitmaps: a clear bit is a proof of emptiness that lets the
-  // fast path skip the list lookup, so a clear bit over a non-empty list
+  // Occupancy bitmaps: a clear bit is a proof of emptiness that lets
+  // propagation skip the list lookup, so a clear bit over a non-empty list
   // would silently drop propagations. (Stale set bits over empty lists
-  // are fine — they only cost the lookup.) Only the fast path maintains
-  // and consults the bitmaps.
-  if (config_.binary_fast_path) {
-    for (std::size_t code = 0; code < watches_.size(); ++code) {
-      const auto c = static_cast<std::uint32_t>(code);
-      if (!bin_watches_[code].empty() && !occupied(bin_occupied_, c)) {
-        err << "binary watch list for code " << code
-            << " non-empty but occupancy bit clear";
-        return err.str();
-      }
-      if (!watches_[code].empty() && !occupied(watch_occupied_, c)) {
-        err << "watch list for code " << code
-            << " non-empty but occupancy bit clear";
-        return err.str();
-      }
+  // are fine — they only cost the lookup.)
+  for (std::size_t code = 0; code < watches_.size(); ++code) {
+    const auto c = static_cast<std::uint32_t>(code);
+    if (!bin_watches_[code].empty() && !occupied(bin_occupied_, c)) {
+      err << "binary watch list for code " << code
+          << " non-empty but occupancy bit clear";
+      return err.str();
+    }
+    if (!watches_[code].empty() && !occupied(watch_occupied_, c)) {
+      err << "watch list for code " << code
+          << " non-empty but occupancy bit clear";
+      return err.str();
     }
   }
   // Watched-literal invariant (only meaningful in a fully propagated,

@@ -120,22 +120,19 @@ struct SolverConfig {
   PolarityInit polarity_init = PolarityInit::kActivity;
 
   /// Learned-clause minimization (MiniSat-era extension, postdates the
-  /// paper). Default on since the recursive overhaul paid for itself on
-  /// the micro suite (BENCH_solver.json "minimize_ablation" rows); turn
-  /// off for paper-era fidelity or the ablation baseline.
+  /// paper): recursive stamp-based minimization (MiniSat's "deep" mode /
+  /// dawn's otf=2), a DFS over reason antecedents with memoized
+  /// redundant/required verdicts and an abstraction-level filter. Default
+  /// on since it paid for itself on the micro suite (BENCH_solver.json
+  /// "minimize_ablation" rows); turn off for paper-era fidelity or the
+  /// ablation baseline.
   bool minimize_learned = true;
-
-  /// Recursive stamp-based minimization (MiniSat's "deep" mode / dawn's
-  /// otf=2): DFS over reason antecedents with memoized redundant/required
-  /// verdicts and an abstraction-level filter. false = the basic local
-  /// check (one reason deep) only.
-  bool minimize_recursive = true;
 
   /// Binary-resolution strengthening of the learned clause: resolve
   /// against binary clauses watching the asserting literal to drop
   /// further literals (Glucose's minimisationWithBinaryResolution). Only
-  /// active alongside minimize_learned and the binary fast path (the
-  /// binary store is the index it scans).
+  /// active alongside minimize_learned (the binary implication store is
+  /// the index it scans).
   bool minimize_bin = true;
 
   /// On-the-fly subsumption during conflict analysis (Han–Somenzi): when
@@ -151,14 +148,6 @@ struct SolverConfig {
   /// scans stay cache-resident. Falls back to in-place gc() under memory
   /// pressure (the ordered rewrite transiently doubles the footprint).
   bool arena_compact = true;
-
-  /// Propagate binary clauses from a dedicated implication store instead
-  /// of the general watcher machinery (one contiguous scan per literal,
-  /// no arena dereference, no watch relocation). Post-2003 engineering:
-  /// paper-era zChaff routed binaries through the same watch lists as
-  /// every other clause, so turning this off reproduces the historical
-  /// hot path (and is the ablation baseline for BENCH_solver.json).
-  bool binary_fast_path = true;
 
   /// Accumulate wall time spent inside propagate() into
   /// SolverStats::propagation_ns. Off by default: two clock reads per
@@ -184,8 +173,8 @@ struct SolverStats {
   std::uint64_t restarts = 0;
   std::uint64_t learned_clauses = 0;
   std::uint64_t learned_literals = 0;
-  /// Literals removed from learned clauses by minimization (basic or
-  /// recursive) before attach; not counted in learned_literals.
+  /// Literals removed from learned clauses by minimization before
+  /// attach; not counted in learned_literals.
   std::uint64_t minimized_literals = 0;
   /// Literals removed by binary-resolution strengthening of the learned
   /// clause (on top of minimization).
@@ -421,18 +410,16 @@ class CdclSolver {
   bool enqueue_level0(cnf::Lit p, bool tainted);
   ClauseRef propagate();
   ClauseRef propagate_fast();
-  ClauseRef propagate_legacy();
   ClauseRef propagate_binary(cnf::Lit falsified, std::uint32_t dl);
   void enqueue_implied(cnf::Lit p, ClauseRef reason, std::uint32_t dl);
   /// True when this clause is (or would be) watched by the binary store.
   [[nodiscard]] bool in_binary_store(ClauseRef cref) const {
-    return config_.binary_fast_path && arena_.size(cref) == 2;
+    return arena_.size(cref) == 2;
   }
   void analyze(ClauseRef confl, std::vector<cnf::Lit>& learned,
                std::uint32_t& backjump_level, cnf::Lit& uip,
                std::uint32_t& lbd);
   void minimize(std::vector<cnf::Lit>& learned);
-  void minimize_basic(std::vector<cnf::Lit>& learned);
   void minimize_deep(std::vector<cnf::Lit>& learned);
   /// Recursive-minimization probe: true when `root` (a learned-clause
   /// literal) is implied by the rest of the clause plus untainted level-0
@@ -508,14 +495,13 @@ class CdclSolver {
   ClauseArena arena_;
   std::vector<std::vector<Watcher>> watches_;  ///< indexed by literal code
   /// Binary-clause implications, indexed by the falsified literal's code;
-  /// disjoint from watches_ while config_.binary_fast_path is on.
+  /// disjoint from watches_ (which holds only clauses of 3+ literals).
   std::vector<std::vector<BinWatcher>> bin_watches_;
   /// Occupancy bitmaps (bit per literal code, cache-resident): a clear bit
   /// proves the corresponding watch list is empty, so propagate_fast()
   /// skips the (usually cold) list-header load entirely. Conservative:
   /// bits are set on every insertion and never cleared on removal — a
-  /// stale set bit only costs the lookup it would have cost anyway. The
-  /// legacy ablation path does not consult them.
+  /// stale set bit only costs the lookup it would have cost anyway.
   std::vector<std::uint64_t> bin_occupied_;
   std::vector<std::uint64_t> watch_occupied_;
 

@@ -1,7 +1,7 @@
 // Randomized stress for the discrete-event engine: tens of thousands of
 // events scheduled, cancelled, and rescheduled from inside handlers must
-// fire in nondecreasing time order with exact bookkeeping — under both
-// queue backends, and at a 1000-host (env-scalable) message workload.
+// fire in nondecreasing time order with exact bookkeeping, including at a
+// 1000-host (env-scalable) message workload.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -18,20 +18,9 @@
 namespace gridsat::sim {
 namespace {
 
-class EngineStressTest : public testing::TestWithParam<QueueKind> {};
-
-INSTANTIATE_TEST_SUITE_P(Queues, EngineStressTest,
-                         testing::Values(QueueKind::kCalendar,
-                                         QueueKind::kQuadHeap),
-                         [](const auto& info) {
-                           return info.param == QueueKind::kCalendar
-                                      ? "Calendar"
-                                      : "QuadHeap";
-                         });
-
-TEST_P(EngineStressTest, RandomScheduleCancelRespectsOrder) {
+TEST(EngineStressTest, RandomScheduleCancelRespectsOrder) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    SimEngine engine(GetParam());
+    SimEngine engine;
     util::Xoshiro256 rng(seed);
     std::vector<double> fire_times;
     std::vector<EventId> cancellable;
@@ -74,8 +63,8 @@ TEST_P(EngineStressTest, RandomScheduleCancelRespectsOrder) {
   }
 }
 
-TEST_P(EngineStressTest, ManyEqualTimestampsKeepFifoOrder) {
-  SimEngine engine(GetParam());
+TEST(EngineStressTest, ManyEqualTimestampsKeepFifoOrder) {
+  SimEngine engine;
   std::vector<int> order;
   for (int i = 0; i < 5000; ++i) {
     engine.schedule_at(1.0, [&order, i] { order.push_back(i); });
@@ -86,8 +75,8 @@ TEST_P(EngineStressTest, ManyEqualTimestampsKeepFifoOrder) {
   }
 }
 
-TEST_P(EngineStressTest, CancelStormLeavesEngineConsistent) {
-  SimEngine engine(GetParam());
+TEST(EngineStressTest, CancelStormLeavesEngineConsistent) {
+  SimEngine engine;
   std::vector<EventId> ids;
   int fired = 0;
   for (int i = 0; i < 10000; ++i) {
@@ -108,7 +97,7 @@ TEST_P(EngineStressTest, CancelStormLeavesEngineConsistent) {
 /// master broadcasts a clause batch to every host every 5 virtual
 /// seconds. N defaults to 1000 and scales with GRIDSAT_STRESS_HOSTS
 /// (CI runs this elevated under TSan).
-TEST_P(EngineStressTest, SustainsElevatedHostCount) {
+TEST(EngineStressTest, SustainsElevatedHostCount) {
   std::size_t n_hosts = 1000;
   if (const char* env = std::getenv("GRIDSAT_STRESS_HOSTS")) {
     const long parsed = std::strtol(env, nullptr, 10);
@@ -117,7 +106,7 @@ TEST_P(EngineStressTest, SustainsElevatedHostCount) {
   constexpr std::size_t kSites = 16;
   constexpr double kHorizon = 60.0;
 
-  SimEngine engine(GetParam());
+  SimEngine engine;
   NameTable names;
   Network net(names);
   MessageBus bus(engine, net);

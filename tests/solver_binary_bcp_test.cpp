@@ -1,13 +1,13 @@
 // The binary-clause fast path (BCP microarchitecture, DESIGN.md):
-//   * binary implications propagate from the dedicated store, with the
-//     same verdicts as the general-watcher path (ablation flag off);
-//   * conflict analysis works with binary reason clauses (the implied
-//     literal is kept in slot 0 by the fast path);
+//   * binary implications propagate from the dedicated store;
+//   * conflict analysis works with binary reason clauses (unordered: the
+//     implied literal may sit in either slot);
 //   * binary clauses survive split / import / export and DB maintenance
 //     (reduce, emergency drop, garbage collection);
 //   * check_invariants() covers both watcher stores;
-//   * differential fuzzing against brute force, biased toward formulas
-//     with many binary clauses.
+//   * differential fuzzing against brute force and against the paper-era
+//     learned-clause pipeline, biased toward formulas with many binary
+//     clauses.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -71,14 +71,6 @@ TEST(BinaryBcpTest, FastPathActuallyTaken) {
             solver.stats().propagations / 2);
 }
 
-TEST(BinaryBcpTest, AblationFlagDisablesStore) {
-  SolverConfig config;
-  config.binary_fast_path = false;
-  CdclSolver solver(gen::pigeonhole_unsat(6), config);
-  EXPECT_EQ(solver.solve(), SolveStatus::kUnsat);
-  EXPECT_EQ(solver.stats().binary_propagations, 0u);
-}
-
 TEST(BinaryBcpTest, ConflictAnalysisWithBinaryReasons) {
   // A conflict whose implication graph is all binary edges: the decision
   // V1 implies V2, V3 via binaries and clause (~V2 ~V3) conflicts. The
@@ -103,18 +95,15 @@ TEST(BinaryBcpTest, ConflictAnalysisWithBinaryReasons) {
 }
 
 TEST(BinaryBcpTest, InvariantsHoldOverBothStores) {
-  for (const bool fast : {true, false}) {
-    SolverConfig config;
-    config.binary_fast_path = fast;
-    CdclSolver solver(binary_heavy(30, 45, 80, 11), config);
-    SolveStatus status = SolveStatus::kUnknown;
-    int slices = 0;
-    while (status == SolveStatus::kUnknown && slices < 50) {
-      status = solver.solve(1000);
-      EXPECT_EQ(solver.check_invariants(), "")
-          << "fast=" << fast << " slice " << slices;
-      ++slices;
-    }
+  // Binary clauses live in the implication store, longer ones in the
+  // general watch lists; check_invariants() cross-checks both.
+  CdclSolver solver(binary_heavy(30, 45, 80, 11));
+  SolveStatus status = SolveStatus::kUnknown;
+  int slices = 0;
+  while (status == SolveStatus::kUnknown && slices < 50) {
+    status = solver.solve(1000);
+    EXPECT_EQ(solver.check_invariants(), "") << "slice " << slices;
+    ++slices;
   }
 }
 
@@ -216,7 +205,11 @@ TEST(BinaryBcpTest, ExportedBinariesImportSoundly) {
   }
 }
 
-// --- Differential fuzz: binary-biased formulas, fast path on vs off ------
+// --- Differential fuzz: binary-biased formulas -----------------------------
+// Brute force is the reference. The ablated solver runs the paper-era
+// learned-clause pipeline (no minimization, no on-the-fly subsumption)
+// over the same binary store, so a strengthening step that corrupts a
+// binary reason shows up as a verdict or model disagreement.
 
 class BinaryBcpFuzz : public testing::TestWithParam<int> {};
 
@@ -226,21 +219,23 @@ TEST_P(BinaryBcpFuzz, AgreesWithBruteForceAndAblation) {
   const CnfFormula f = binary_heavy(12, 14, 32, static_cast<std::uint64_t>(seed) * 6151 + 29);
   const auto truth = brute_force_solve(f);
 
-  CdclSolver fast(f);
-  SolverConfig slow_config;
-  slow_config.binary_fast_path = false;
-  CdclSolver slow(f, slow_config);
+  CdclSolver full(f);
+  SolverConfig ablated_config;
+  ablated_config.minimize_learned = false;
+  ablated_config.otf_subsume = false;
+  CdclSolver ablated(f, ablated_config);
 
-  const SolveStatus fast_status = fast.solve();
-  const SolveStatus slow_status = slow.solve();
-  EXPECT_EQ(fast_status, slow_status) << "seed " << seed;
-  EXPECT_EQ(fast_status,
+  const SolveStatus full_status = full.solve();
+  const SolveStatus ablated_status = ablated.solve();
+  EXPECT_EQ(full_status, ablated_status) << "seed " << seed;
+  EXPECT_EQ(full_status,
             truth.has_value() ? SolveStatus::kSat : SolveStatus::kUnsat)
       << "seed " << seed;
-  EXPECT_EQ(fast.check_invariants(), "");
-  if (fast_status == SolveStatus::kSat) {
-    EXPECT_TRUE(is_model(f, fast.model()));
-    EXPECT_TRUE(is_model(f, slow.model()));
+  EXPECT_EQ(full.check_invariants(), "");
+  EXPECT_EQ(ablated.check_invariants(), "");
+  if (full_status == SolveStatus::kSat) {
+    EXPECT_TRUE(is_model(f, full.model()));
+    EXPECT_TRUE(is_model(f, ablated.model()));
   }
 }
 
