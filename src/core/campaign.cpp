@@ -181,14 +181,12 @@ void Client::grant_split(std::vector<std::size_t> peer_hosts) {
   if (!solver_) {
     // Finished in the meantime: give the reservation back (the master
     // will re-dispatch the peers to someone else; release_grant frees
-    // every reserved peer of this grant, not just the one echoed here).
+    // every reserved peer of this grant).
     const std::size_t requester = host_index_;
-    const std::size_t peer = peer_hosts.front();
-    campaign_.send_up(
-        host_index_, Msg::kSplitFailed, kControlMessageBytes,
-        [&c = campaign_, requester, peer] {
-          c.on_split_failed(requester, peer);
-        });
+    campaign_.send_up(host_index_, Msg::kSplitFailed, kControlMessageBytes,
+                      [&c = campaign_, requester] {
+                        c.on_split_failed(requester);
+                      });
     return;
   }
   pending_split_peers_ = std::move(peer_hosts);
@@ -198,11 +196,10 @@ void Client::order_migration(std::size_t peer_host) {
   if (!alive_) return;
   if (!solver_) {
     const std::size_t requester = host_index_;
-    campaign_.send_up(
-        host_index_, Msg::kSplitFailed, kControlMessageBytes,
-        [&c = campaign_, requester, peer_host] {
-          c.on_split_failed(requester, peer_host);
-        });
+    campaign_.send_up(host_index_, Msg::kSplitFailed, kControlMessageBytes,
+                      [&c = campaign_, requester] {
+                        c.on_split_failed(requester);
+                      });
     return;
   }
   pending_migrate_peer_ = static_cast<std::ptrdiff_t>(peer_host);
@@ -218,12 +215,7 @@ void Client::cancel_subproblem(std::uint64_t incarnation) {
   // The loser's work still counts (and its exported clauses stay valid —
   // every learned clause is a consequence of the shared formula), but the
   // tenancy ends here, at the next cooperation point.
-  work_accumulated_ += solver_->stats().work;
-  imported_accumulated_ += solver_->stats().imported_clauses;
-  imported_used_accumulated_ += solver_->stats().imported_used;
-  solver_.reset();
-  export_buffer_.clear();
-  export_lbds_.clear();
+  end_tenancy();
   pending_split_peers_.clear();
   pending_migrate_peer_ = -1;
   split_requested_ = false;
@@ -231,6 +223,15 @@ void Client::cancel_subproblem(std::uint64_t incarnation) {
   campaign_.send_to_master(
       host_index_, Msg::kCancelled, kControlMessageBytes,
       [&c = campaign_, host] { c.on_race_cancelled(host); }, flow_);
+}
+
+void Client::end_tenancy() {
+  work_accumulated_ += solver_->stats().work;
+  imported_accumulated_ += solver_->stats().imported_clauses;
+  imported_used_accumulated_ += solver_->stats().imported_used;
+  solver_.reset();
+  export_buffer_.clear();
+  export_lbds_.clear();
 }
 
 void Client::kill() {
@@ -497,24 +498,11 @@ void Client::perform_split() {
     obs::trace_event(campaign_.tracer_, trace_worker_,
                      obs::EventKind::kLineageShip, sp->lineage_id,
                      campaign_.client_lane(peer));
-    const Campaign::ShipPlan plan = campaign_.plan_subproblem_ship(peer, *sp);
     // Message 3 of Figure 3: peer-to-peer subproblem transfer. The
     // transfer time also parameterizes both sides' split timeouts (§3.3).
-    const double transfer = campaign_.network().transfer_time(
-        plan.bytes, campaign_.site_id(host_index_), campaign_.site_id(peer));
-    campaign_.note_subproblem_in_flight();
-    campaign_.send_peer(
-        host_index_, peer, Msg::kSubproblem, plan.bytes,
-        [&c = campaign_, peer, sp, transfer, mode = plan.mode] {
-          Client* target = c.client(peer);
-          if (target != nullptr && target->alive()) {
-            target->start_subproblem(sp, transfer, mode);
-          } else {
-            c.on_lost_subproblem(sp, peer);
-          }
-        },
-        sp->flow_id);
-    slowest_transfer = std::max(slowest_transfer, transfer);
+    slowest_transfer = std::max(
+        slowest_transfer,
+        campaign_.ship(static_cast<std::ptrdiff_t>(host_index_), peer, sp));
   }
   last_transfer_s_ = slowest_transfer;
   // Message 5: tell the master the split succeeded (and, for a hybrid
@@ -539,32 +527,13 @@ void Client::perform_migration() {
   obs::trace_event(campaign_.tracer_, trace_worker_,
                    obs::EventKind::kLineageShip, sp->lineage_id,
                    campaign_.client_lane(peer));
-  work_accumulated_ += solver_->stats().work;
-  imported_accumulated_ += solver_->stats().imported_clauses;
-  imported_used_accumulated_ += solver_->stats().imported_used;
-  solver_.reset();
-  export_buffer_.clear();
-  export_lbds_.clear();
-  const Campaign::ShipPlan plan = campaign_.plan_subproblem_ship(peer, *sp);
-  const double transfer = campaign_.network().transfer_time(
-      plan.bytes, campaign_.site_id(host_index_), campaign_.site_id(peer));
-  campaign_.note_subproblem_in_flight();
-  campaign_.send_peer(
-      host_index_, peer, Msg::kSubproblem, plan.bytes,
-      [&c = campaign_, peer, sp, transfer, mode = plan.mode] {
-        Client* target = c.client(peer);
-        if (target != nullptr && target->alive()) {
-          target->start_subproblem(sp, transfer, mode);
-        } else {
-          c.on_lost_subproblem(sp, peer);
-        }
-      },
-      sp->flow_id);
+  end_tenancy();
+  campaign_.ship(static_cast<std::ptrdiff_t>(host_index_), peer,
+                 std::move(sp));
   const std::size_t from = host_index_;
   campaign_.send_up(
       host_index_, Msg::kMigrated, kControlMessageBytes,
-      [&c = campaign_, from, peer] { c.on_migrated(from, peer); },
-      flow_);
+      [&c = campaign_, from] { c.on_migrated(from); }, flow_);
 }
 
 void Client::finish_subproblem(SolveStatus status) {
@@ -574,10 +543,7 @@ void Client::finish_subproblem(SolveStatus status) {
     case SolveStatus::kSat: {
       trace_phase("sat-found");
       cnf::Assignment model = solver_->model();
-      work_accumulated_ += solver_->stats().work;
-      imported_accumulated_ += solver_->stats().imported_clauses;
-      imported_used_accumulated_ += solver_->stats().imported_used;
-      solver_.reset();
+      end_tenancy();
       const std::size_t bytes =
           model.size();  // one byte per variable: the assignment stack
       const std::size_t host = host_index_;
@@ -601,16 +567,11 @@ void Client::finish_subproblem(SolveStatus status) {
       }
       obs::trace_event(campaign_.tracer_, trace_worker_,
                        obs::EventKind::kLineageRefute, lineage_);
-      work_accumulated_ += solver_->stats().work;
-      imported_accumulated_ += solver_->stats().imported_clauses;
-      imported_used_accumulated_ += solver_->stats().imported_used;
       // An empty guiding path refutes the whole formula — in portfolio
       // (and a hybrid racer holding the root) that alone decides the
       // campaign, with no split tree left to drain.
       const bool root_refuted = solver_->assumptions().empty();
-      solver_.reset();
-      export_buffer_.clear();
-      export_lbds_.clear();
+      end_tenancy();
       const std::size_t host = host_index_;
       campaign_.send_up(
           host_index_, Msg::kSubproblemUnsat, kControlMessageBytes,
@@ -623,9 +584,7 @@ void Client::finish_subproblem(SolveStatus status) {
     case SolveStatus::kMemOut: {
       // The OS out-of-memory killer takes the client (§3.3 footnote).
       trace_phase("mem-out");
-      work_accumulated_ += solver_->stats().work;
-      imported_accumulated_ += solver_->stats().imported_clauses;
-      imported_used_accumulated_ += solver_->stats().imported_used;
+      end_tenancy();
       kill();
       const std::size_t host = host_index_;
       campaign_.engine().schedule_in(kMasterMonitorDelay,
@@ -702,16 +661,29 @@ void Campaign::set_batch(BatchOptions options) {
 
 void Campaign::schedule_client_failure(std::size_t host_index, double at) {
   engine_.schedule_at(at, [this, host_index] {
-    Client* victim = client(host_index);
-    if (victim == nullptr || !victim->alive()) return;
-    const bool was_busy = victim->busy();
+    kill_client(host_index, /*host_gone=*/false);
+  });
+}
+
+void Campaign::kill_client(std::size_t host_index, bool host_gone) {
+  Client* victim = client(host_index);
+  const bool alive = victim != nullptr && victim->alive();
+  // A process failure needs a live process; a departing machine is
+  // reported to the master whether or not its client still runs.
+  if (!alive && !host_gone) return;
+  const bool was_busy = alive && victim->busy();
+  if (alive) {
     victim->kill();
     ++result_.client_deaths;
-    // The master's monitoring notices shortly afterwards (§3.3: "the
-    // master becomes aware of it").
-    engine_.schedule_in(kMasterMonitorDelay, [this, host_index, was_busy] {
-      on_client_died(host_index, was_busy);
-    });
+  }
+  // The master's monitoring notices shortly afterwards (§3.3: "the
+  // master becomes aware of it").
+  engine_.schedule_in(kMasterMonitorDelay, [this, host_index, was_busy,
+                                            host_gone] {
+    on_client_died(host_index, was_busy);
+    // on_client_died frees the resource for relaunch; a departed machine
+    // is gone until something (a site's return) frees it again.
+    if (host_gone && !done_) directory_.at(host_index).state = HostState::kDead;
   });
 }
 
@@ -735,20 +707,8 @@ void Campaign::release_host(std::size_t host_index) {
   if (done_) return;
   grid::ResourceEntry& entry = directory_.at(host_index);
   if (entry.state == HostState::kDead) return;
-  Client* victim = client(host_index);
-  const bool was_busy =
-      victim != nullptr && victim->alive() && victim->busy();
-  if (victim != nullptr && victim->alive()) {
-    victim->kill();
-    ++result_.client_deaths;
-  }
   ++result_.hosts_released;
-  engine_.schedule_in(kMasterMonitorDelay, [this, host_index, was_busy] {
-    on_client_died(host_index, was_busy);
-    // on_client_died frees the resource for relaunch; a released host is
-    // gone for good.
-    if (!done_) directory_.at(host_index).state = HostState::kDead;
-  });
+  kill_client(host_index, /*host_gone=*/true);
 }
 
 void Campaign::schedule_site_outage(const std::string& site, double at,
@@ -767,21 +727,8 @@ void Campaign::begin_site_outage(const std::string& site, double down_for) {
     if (directory_.at(i).state == HostState::kDead) continue;
     victims.push_back(i);
   }
-  for (const std::size_t i : victims) {
-    Client* victim = client(i);
-    const bool was_busy =
-        victim != nullptr && victim->alive() && victim->busy();
-    if (victim != nullptr && victim->alive()) {
-      victim->kill();
-      ++result_.client_deaths;
-    }
-    // One monitoring report per machine, as with any other death.
-    engine_.schedule_in(kMasterMonitorDelay, [this, i, was_busy] {
-      if (done_) return;
-      on_client_died(i, was_busy);
-      if (!done_) directory_.at(i).state = HostState::kDead;
-    });
-  }
+  // One monitoring report per machine, as with any other death.
+  for (const std::size_t i : victims) kill_client(i, /*host_gone=*/true);
   engine_.schedule_in(down_for, [this, victims = std::move(victims)] {
     if (done_) return;
     for (const std::size_t i : victims) {
@@ -825,15 +772,6 @@ void Campaign::set_metrics(obs::MetricRegistry* metrics) {
   metrics_->gauge_fn("campaign.subproblems_in_flight", [this] {
     return static_cast<double>(subproblems_in_flight_);
   });
-  metrics_->gauge_fn("campaign.splits", [this] {
-    return static_cast<double>(result_.total_splits);
-  });
-  metrics_->gauge_fn("campaign.clauses_shared", [this] {
-    return static_cast<double>(result_.clauses_shared);
-  });
-  metrics_->gauge_fn("campaign.races_cancelled", [this] {
-    return static_cast<double>(result_.races_cancelled);
-  });
   // Clause-sharing usefulness: imports merged vs imports that conflict
   // analysis actually walked (per-solver imported_used, accumulated
   // across tenancies). A dead client's counts die with it, like work.
@@ -854,62 +792,59 @@ void Campaign::set_metrics(obs::MetricRegistry* metrics) {
   metrics_->gauge_fn("campaign.messages", [this] {
     return static_cast<double>(bus_.messages_sent());
   });
-  // Wire-transfer accounting (DESIGN.md §4e): bytes actually shipped and
-  // bytes the base-ref cache avoided shipping.
+  // Wire-transfer accounting (DESIGN.md §4e): bytes actually shipped.
   metrics_->gauge_fn("campaign.wire.bytes_sent", [this] {
     return static_cast<double>(bus_.bytes_sent());
   });
-  metrics_->gauge_fn("campaign.wire.base_ref_transfers", [this] {
-    return static_cast<double>(result_.base_ref_transfers);
-  });
-  metrics_->gauge_fn("campaign.wire.base_ref_bytes_saved", [this] {
-    return static_cast<double>(result_.base_ref_bytes_saved);
-  });
-  metrics_->gauge_fn("campaign.wire.ship_learned_trimmed", [this] {
-    return static_cast<double>(result_.ship_learned_trimmed);
-  });
-  metrics_->gauge_fn("campaign.wire.base_renegotiations", [this] {
-    return static_cast<double>(result_.base_renegotiations);
-  });
-  metrics_->gauge_fn("campaign.wire.checkpoints_full", [this] {
-    return static_cast<double>(result_.checkpoints_full);
-  });
-  metrics_->gauge_fn("campaign.wire.checkpoints_delta", [this] {
-    return static_cast<double>(result_.checkpoints_delta);
-  });
-  // Per-tier master accounting (DESIGN.md §4j), registered only under a
-  // hierarchical topology so flat-campaign metric snapshots are unchanged.
+  // Result counters are published from one table, so each is named
+  // once. Per-tier master accounting (DESIGN.md §4j) is registered only
+  // under a hierarchical topology, so flat-campaign metric snapshots do
+  // not carry it.
+  struct ResultGauge {
+    const char* name;
+    std::uint64_t GridSatResult::*field;
+  };
+  static constexpr ResultGauge kFlatGauges[] = {
+      {"campaign.splits", &GridSatResult::total_splits},
+      {"campaign.clauses_shared", &GridSatResult::clauses_shared},
+      {"campaign.races_cancelled", &GridSatResult::races_cancelled},
+      // Wire-transfer accounting (DESIGN.md §4e): base-ref ships and the
+      // bytes they avoided, trimmed payloads, renegotiations, checkpoints.
+      {"campaign.wire.base_ref_transfers", &GridSatResult::base_ref_transfers},
+      {"campaign.wire.base_ref_bytes_saved",
+       &GridSatResult::base_ref_bytes_saved},
+      {"campaign.wire.ship_learned_trimmed",
+       &GridSatResult::ship_learned_trimmed},
+      {"campaign.wire.base_renegotiations",
+       &GridSatResult::base_renegotiations},
+      {"campaign.wire.checkpoints_full", &GridSatResult::checkpoints_full},
+      {"campaign.wire.checkpoints_delta", &GridSatResult::checkpoints_delta},
+  };
+  static constexpr ResultGauge kHierGauges[] = {
+      {"campaign.master.root_messages", &GridSatResult::root_messages_handled},
+      {"campaign.master.sub_messages", &GridSatResult::sub_messages_handled},
+      {"campaign.master.relay_batches", &GridSatResult::site_relay_batches},
+      {"campaign.master.digests", &GridSatResult::inter_site_digests},
+      {"campaign.master.digest_clauses", &GridSatResult::digest_clauses_sent},
+      {"campaign.master.digest_deduped",
+       &GridSatResult::digest_clauses_deduped},
+      {"campaign.master.brokered_splits", &GridSatResult::brokered_splits},
+      {"campaign.master.bounces", &GridSatResult::sub_master_bounces},
+      {"campaign.master.rehomes", &GridSatResult::sub_master_rehomes},
+  };
+  const auto publish = [this](std::span<const ResultGauge> gauges) {
+    for (const ResultGauge& g : gauges) {
+      metrics_->gauge_fn(g.name, [this, field = g.field] {
+        return static_cast<double>(result_.*field);
+      });
+    }
+  };
+  publish(kFlatGauges);
   if (hier_enabled()) {
     metrics_->gauge_fn("campaign.master.sub_masters", [this] {
       return static_cast<double>(sub_masters_.size());
     });
-    metrics_->gauge_fn("campaign.master.root_messages", [this] {
-      return static_cast<double>(result_.root_messages_handled);
-    });
-    metrics_->gauge_fn("campaign.master.sub_messages", [this] {
-      return static_cast<double>(result_.sub_messages_handled);
-    });
-    metrics_->gauge_fn("campaign.master.relay_batches", [this] {
-      return static_cast<double>(result_.site_relay_batches);
-    });
-    metrics_->gauge_fn("campaign.master.digests", [this] {
-      return static_cast<double>(result_.inter_site_digests);
-    });
-    metrics_->gauge_fn("campaign.master.digest_clauses", [this] {
-      return static_cast<double>(result_.digest_clauses_sent);
-    });
-    metrics_->gauge_fn("campaign.master.digest_deduped", [this] {
-      return static_cast<double>(result_.digest_clauses_deduped);
-    });
-    metrics_->gauge_fn("campaign.master.brokered_splits", [this] {
-      return static_cast<double>(result_.brokered_splits);
-    });
-    metrics_->gauge_fn("campaign.master.bounces", [this] {
-      return static_cast<double>(result_.sub_master_bounces);
-    });
-    metrics_->gauge_fn("campaign.master.rehomes", [this] {
-      return static_cast<double>(result_.sub_master_rehomes);
-    });
+    publish(kHierGauges);
   }
 }
 
@@ -968,10 +903,10 @@ void Campaign::stamp_and_trace_ship(std::size_t host_index,
                        client_lane(host_index));
 }
 
-double Campaign::send(std::uint32_t from, std::uint32_t from_site,
-                      std::uint32_t to, std::uint32_t to_site, Msg kind,
-                      std::size_t bytes, sim::Callback handler,
-                      std::uint64_t flow) {
+void Campaign::send(std::uint32_t from, std::uint32_t from_site,
+                    std::uint32_t to, std::uint32_t to_site, Msg kind,
+                    std::size_t bytes, sim::Callback handler,
+                    std::uint64_t flow) {
   sim::MessageHeader header;
   header.from = from;
   header.from_site = from_site;
@@ -980,7 +915,7 @@ double Campaign::send(std::uint32_t from, std::uint32_t from_site,
   header.kind = kind_id(kind);
   header.bytes = bytes;
   header.flow_id = flow;
-  return bus_.send(header, std::move(handler));
+  bus_.send(header, std::move(handler));
 }
 
 void Campaign::send_to_master(std::size_t from_host, Msg kind,
@@ -998,14 +933,6 @@ void Campaign::send_to_client(std::size_t to_host, Msg kind,
                               std::uint64_t flow) {
   send(master_id_, master_site_id_, endpoint_ids_[to_host],
        site_ids_[to_host], kind, bytes, std::move(handler), flow);
-}
-
-double Campaign::send_peer(std::size_t from_host, std::size_t to_host,
-                           Msg kind, std::size_t bytes, sim::Callback handler,
-                           std::uint64_t flow) {
-  return send(endpoint_ids_[from_host], site_ids_[from_host],
-              endpoint_ids_[to_host], site_ids_[to_host], kind, bytes,
-              std::move(handler), flow);
 }
 
 std::size_t Campaign::clause_batch_bytes(
@@ -1090,22 +1017,37 @@ void Campaign::on_register(std::size_t host_index) {
 
 void Campaign::assign_subproblem(std::size_t host_index,
                                  std::shared_ptr<solver::Subproblem> sp) {
-  ++subproblems_in_flight_;
   stamp_and_trace_ship(host_index, *sp);
-  const ShipPlan plan = plan_subproblem_ship(host_index, *sp);
-  const double transfer = network_.transfer_time(plan.bytes, master_site_id_,
-                                                 site_ids_[host_index]);
-  send_to_client(
-      host_index, Msg::kSubproblem, plan.bytes,
-      [this, host_index, sp, transfer, mode = plan.mode] {
-        Client* target = client(host_index);
-        if (target != nullptr && target->alive()) {
-          target->start_subproblem(sp, transfer, mode);
-        } else {
-          on_lost_subproblem(sp, host_index);
-        }
-      },
-      sp->flow_id);
+  ship(-1, host_index, std::move(sp));
+}
+
+double Campaign::ship(std::ptrdiff_t from_host, std::size_t to_host,
+                      std::shared_ptr<solver::Subproblem> sp, Msg kind) {
+  ShipPlan plan{solver::WireMode::kFull, base_block_bytes_};
+  if (kind == Msg::kSubproblem) {
+    ++subproblems_in_flight_;
+    plan = plan_subproblem_ship(to_host, *sp);
+  }
+  const bool from_master = from_host < 0;
+  const std::uint32_t from =
+      from_master ? master_id_ : endpoint_ids_[from_host];
+  const std::uint32_t from_site =
+      from_master ? master_site_id_ : site_ids_[from_host];
+  const double transfer =
+      network_.transfer_time(plan.bytes, from_site, site_ids_[to_host]);
+  const std::uint64_t flow = sp->flow_id;
+  send(from, from_site, endpoint_ids_[to_host], site_ids_[to_host], kind,
+       plan.bytes,
+       [this, to_host, sp = std::move(sp), transfer, mode = plan.mode] {
+         Client* target = client(to_host);
+         if (target != nullptr && target->alive()) {
+           target->start_subproblem(sp, transfer, mode);
+         } else {
+           on_lost_subproblem(sp, to_host);
+         }
+       },
+       flow);
+  return transfer;
 }
 
 Campaign::ShipPlan Campaign::plan_subproblem_ship(std::size_t to_host,
@@ -1150,19 +1092,7 @@ void Campaign::on_base_miss(std::size_t host_index,
   // carries its problem clauses; only bytes and time are charged). The
   // subproblem stays in flight throughout, so termination accounting is
   // unchanged.
-  const double transfer = network_.transfer_time(
-      base_block_bytes_, master_site_id_, site_ids_[host_index]);
-  send_to_client(
-      host_index, Msg::kBaseShip, base_block_bytes_,
-      [this, host_index, sp, transfer] {
-        Client* target = client(host_index);
-        if (target != nullptr && target->alive()) {
-          target->start_subproblem(sp, transfer, solver::WireMode::kFull);
-        } else {
-          on_lost_subproblem(sp, host_index);
-        }
-      },
-      sp->flow_id);
+  ship(-1, host_index, std::move(sp), Msg::kBaseShip);
 }
 
 void Campaign::on_subproblem_rejected(
@@ -1210,14 +1140,7 @@ void Campaign::on_subproblem_ack(std::size_t host_index,
   try_dispatch();
 }
 
-void Campaign::on_split_request(std::size_t host_index) {
-  if (done_) return;
-  backlog_.insert(host_index);
-  try_dispatch();
-}
-
-void Campaign::on_split_failed(std::size_t requester, std::size_t peer) {
-  (void)peer;
+void Campaign::on_split_failed(std::size_t requester) {
   if (done_) return;
   forget_backlog(requester);
   release_grant(requester);
@@ -1278,8 +1201,7 @@ void Campaign::on_lost_subproblem(std::shared_ptr<solver::Subproblem> sp,
   finish(CampaignStatus::kError);
 }
 
-void Campaign::on_migrated(std::size_t from, std::size_t to) {
-  (void)to;
+void Campaign::on_migrated(std::size_t from) {
   if (done_) return;
   ++result_.migrations;
   outstanding_grants_.erase(from);
@@ -1573,72 +1495,75 @@ void Campaign::on_client_died(std::size_t host_index, bool was_busy) {
   finish(CampaignStatus::kError);
 }
 
-std::size_t Campaign::idle_at_site(const std::string& site) const {
+std::size_t Campaign::idle_at_site(std::uint32_t site) const {
   std::size_t count = 0;
   for (std::size_t i = 0; i < directory_.size(); ++i) {
-    const grid::ResourceEntry& e = directory_.at(i);
-    if (e.state == HostState::kIdle && e.spec.site == site) ++count;
+    if (site_ids_[i] == site && directory_.at(i).state == HostState::kIdle) {
+      ++count;
+    }
   }
   return count;
 }
 
 void Campaign::try_dispatch() {
   if (done_) return;
-  if (hier_enabled()) {
-    hier_dispatch();
-    return;
+  // Bounced requests that waited at the root move back once their site's
+  // sub-master is re-homed; requests from uncovered sites (in the flat
+  // topology, every request) stay root-homed.
+  for (auto it = backlog_.begin(); it != backlog_.end();) {
+    const std::ptrdiff_t sub = route_sub(*it);
+    if (sub >= 0 && sub_masters_[sub].alive) {
+      sub_masters_[sub].backlog.insert(*it);
+      it = backlog_.erase(it);
+    } else {
+      ++it;
+    }
   }
-  for (;;) {
-    const bool have_work = !pending_restores_.empty() || !backlog_.empty();
-    if (!have_work) return;
+  // Checkpoint restores take priority and go to the best idle host
+  // anywhere: that part of the search space is covered by nobody, and its
+  // carrier's site (and sub-master) may be gone.
+  while (!pending_restores_.empty()) {
     const std::ptrdiff_t target =
         directory_.best_in_state(HostState::kIdle, config_.min_client_memory);
-    if (target < 0) {
-      // No idle client: restart one on a free host if any exists; the
-      // dispatch resumes when it registers.
-      const std::ptrdiff_t free_host = directory_.best_in_state(
-          HostState::kFree, config_.min_client_memory);
-      if (free_host >= 0) launch_client(static_cast<std::size_t>(free_host));
-      return;
-    }
-    const auto target_index = static_cast<std::size_t>(target);
-
-    // Checkpoint restores take priority: that part of the search space is
-    // currently covered by nobody.
-    if (!pending_restores_.empty()) {
-      auto sp = pending_restores_.front();
-      pending_restores_.pop_front();
-      directory_.at(target_index).state = HostState::kReserved;
-      assign_subproblem(target_index, std::move(sp));
-      continue;
-    }
-
-    // Pick the backlog client that has been running its subproblem the
-    // longest (§3.4): the stubborn regions get the extra resources.
-    std::ptrdiff_t requester = -1;
-    double oldest = -1.0;
-    for (const std::size_t host : backlog_) {
-      const grid::ResourceEntry& e = directory_.at(host);
-      if (e.state != HostState::kBusy) continue;
-      const double running = engine_.now() - e.busy_since;
-      if (running > oldest) {
-        oldest = running;
-        requester = static_cast<std::ptrdiff_t>(host);
-      }
-    }
+    if (target < 0) break;
+    auto sp = pending_restores_.front();
+    pending_restores_.pop_front();
+    directory_.at(static_cast<std::size_t>(target)).state =
+        HostState::kReserved;
+    assign_subproblem(static_cast<std::size_t>(target), std::move(sp));
+  }
+  // Root-homed backlog: grants against the global idle pool.
+  while (!backlog_.empty()) {
+    const std::ptrdiff_t target =
+        directory_.best_in_state(HostState::kIdle, config_.min_client_memory);
+    if (target < 0) break;
+    const std::ptrdiff_t requester = oldest_requester(backlog_);
     if (requester < 0) {
-      // Stale backlog entries (hosts no longer busy).
-      backlog_.clear();
-      return;
+      // Stale entries: hosts that finished or died before a grant landed.
+      std::erase_if(backlog_, [this](std::size_t host) {
+        return directory_.at(host).state != HostState::kBusy;
+      });
+      break;
     }
-    const auto requester_index = static_cast<std::size_t>(requester);
-    forget_backlog(requester_index);
-    directory_.at(target_index).state = HostState::kReserved;
-    std::vector<std::size_t> targets{target_index};
+    const auto to = static_cast<std::size_t>(target);
+    const auto from = static_cast<std::size_t>(requester);
+    // Migration opportunity (§3.4), flat split mode only: a markedly
+    // better host with idle same-site company (the still-idle target
+    // counts itself) takes the whole problem instead of half. Racing
+    // modes never migrate — a moved tenancy would break the cohort's
+    // one-child-many-racers bookkeeping for no search-space gain.
+    const bool migrate =
+        !hier_enabled() &&
+        config_.parallel_mode == solver::ParallelMode::kSplit &&
+        directory_.rank(to) >
+            config_.migration_rank_factor * directory_.rank(from) &&
+        idle_at_site(site_ids_[to]) >= config_.migration_min_idle_at_site;
+    std::vector<std::size_t> targets{to};
     if (config_.parallel_mode == solver::ParallelMode::kHybrid) {
       // Reserve up to race_width idle hosts: the split child is shipped
       // to all of them at once and they race it under diversified
       // configurations (first verdict wins).
+      directory_.at(to).state = HostState::kReserved;
       while (targets.size() < std::max<std::size_t>(1, config_.race_width)) {
         const std::ptrdiff_t extra = directory_.best_in_state(
             HostState::kIdle, config_.min_client_memory);
@@ -1648,33 +1573,74 @@ void Campaign::try_dispatch() {
         targets.push_back(static_cast<std::size_t>(extra));
       }
     }
-    outstanding_grants_[requester_index] = targets;
+    grant(from, std::move(targets), /*via_sub=*/-1, migrate);
+  }
+  // Site-local dispatch everywhere, then cross-site brokering.
+  for (std::size_t s = 0; s < sub_masters_.size(); ++s) sub_try_dispatch(s);
+  root_broker();
+  // Work waiting with nobody idle: restart a client on a free host (§3.3);
+  // the dispatch resumes when it registers.
+  bool have_work = !pending_restores_.empty() || !backlog_.empty();
+  for (const SubMaster& sm : sub_masters_) {
+    have_work = have_work || !sm.backlog.empty();
+  }
+  if (have_work &&
+      directory_.best_in_state(HostState::kIdle, config_.min_client_memory) <
+          0) {
+    const std::ptrdiff_t free_host = directory_.best_in_state(
+        HostState::kFree, config_.min_client_memory);
+    if (free_host >= 0) launch_client(static_cast<std::size_t>(free_host));
+  }
+}
 
-    // Migration opportunity (§3.4): a markedly better host with idle
-    // same-site company takes the whole problem instead of half. Racing
-    // modes never migrate — a moved tenancy would break the cohort's
-    // one-child-many-racers bookkeeping for no search-space gain.
-    const bool migrate =
-        config_.parallel_mode == solver::ParallelMode::kSplit &&
-        directory_.rank(target_index) >
-            config_.migration_rank_factor * directory_.rank(requester_index) &&
-        idle_at_site(directory_.at(target_index).spec.site) + 1 >=
-            config_.migration_min_idle_at_site;
-    const Msg kind = migrate ? Msg::kMigrateOrder : Msg::kSplitGrant;
-    send_to_client(requester_index, kind, kControlMessageBytes,
-                   [this, requester_index, target_index, migrate,
-                    targets = std::move(targets)] {
-                     Client* c = client(requester_index);
-                     if (c == nullptr || !c->alive()) {
-                       on_split_failed(requester_index, target_index);
-                       return;
-                     }
-                     if (migrate) {
-                       c->order_migration(target_index);
-                     } else {
-                       c->grant_split(targets);
-                     }
-                   });
+std::ptrdiff_t Campaign::oldest_requester(
+    const std::set<std::size_t>& backlog) const {
+  // §3.4: the client that has been running its subproblem the longest
+  // splits first — the stubborn regions get the extra resources. A host
+  // with an outstanding grant is mid-negotiation (e.g. a SUB_HELLO
+  // re-send raced the original's bounce) and is never granted twice.
+  std::ptrdiff_t requester = -1;
+  double oldest = -1.0;
+  for (const std::size_t host : backlog) {
+    const grid::ResourceEntry& e = directory_.at(host);
+    if (e.state != HostState::kBusy) continue;
+    if (outstanding_grants_.count(host) != 0) continue;
+    const double running = engine_.now() - e.busy_since;
+    if (running > oldest) {
+      oldest = running;
+      requester = static_cast<std::ptrdiff_t>(host);
+    }
+  }
+  return requester;
+}
+
+void Campaign::grant(std::size_t requester, std::vector<std::size_t> targets,
+                     std::ptrdiff_t via_sub, bool migrate) {
+  forget_backlog(requester);
+  // A brokered peer arrives already held by the root; every other target
+  // is an idle host reserved here.
+  for (const std::size_t t : targets) {
+    grid::ResourceEntry& entry = directory_.at(t);
+    if (entry.state == HostState::kIdle) entry.state = HostState::kReserved;
+  }
+  outstanding_grants_[requester] = targets;
+  sim::Callback deliver = [this, requester, migrate,
+                           targets = std::move(targets)] {
+    Client* c = client(requester);
+    if (c == nullptr || !c->alive()) {
+      on_split_failed(requester);
+    } else if (migrate) {
+      c->order_migration(targets.front());
+    } else {
+      c->grant_split(targets);
+    }
+  };
+  const Msg kind = migrate ? Msg::kMigrateOrder : Msg::kSplitGrant;
+  if (via_sub < 0) {
+    send_to_client(requester, kind, kControlMessageBytes, std::move(deliver));
+  } else {
+    send_sub_to_client(static_cast<std::size_t>(via_sub), requester, kind,
+                       kControlMessageBytes, std::move(deliver));
   }
 }
 
@@ -2022,7 +1988,7 @@ void Campaign::sub_master_tick(std::size_t sub) {
         sm.last_busy = busy;
         sm.last_backlog = sm.backlog.size();
         send_sub_to_root(sub, Msg::kSiteSummary, kControlMessageBytes,
-                         [this, sub] { root_on_site_summary(sub); });
+                         [this] { root_on_site_summary(); });
       }
     }
   }
@@ -2030,8 +1996,7 @@ void Campaign::sub_master_tick(std::size_t sub) {
                       [this, sub] { sub_master_tick(sub); });
 }
 
-void Campaign::root_on_site_summary(std::size_t sub) {
-  (void)sub;
+void Campaign::root_on_site_summary() {
   if (done_) return;
   // The summary keeps the root's view of site load current; react by
   // re-checking whether a starving site can now be matched to a donor.
@@ -2044,59 +2009,25 @@ void Campaign::sub_try_dispatch(std::size_t sub) {
   if (!sm.alive) return;
   // Drop stale entries (hosts no longer busy: they finished or died
   // before a grant could land).
-  for (auto it = sm.backlog.begin(); it != sm.backlog.end();) {
-    if (directory_.at(*it).state != HostState::kBusy) {
-      it = sm.backlog.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  std::erase_if(sm.backlog, [this](std::size_t host) {
+    return directory_.at(host).state != HostState::kBusy;
+  });
   // Grant locally while the site has both backlog and idle capacity —
   // the root never hears about these splits.
   for (;;) {
     const std::ptrdiff_t target = best_idle_at_site(sub);
     if (target < 0) break;
-    std::ptrdiff_t requester = -1;
-    double oldest = -1.0;
-    for (const std::size_t host : sm.backlog) {
-      // A host with an outstanding grant is mid-negotiation (e.g. a
-      // SUB_HELLO re-send raced the original's bounce): skip it.
-      if (outstanding_grants_.count(host) != 0) continue;
-      const double running = engine_.now() - directory_.at(host).busy_since;
-      if (running > oldest) {
-        oldest = running;
-        requester = static_cast<std::ptrdiff_t>(host);
-      }
-    }
+    const std::ptrdiff_t requester = oldest_requester(sm.backlog);
     if (requester < 0) break;
-    const auto requester_index = static_cast<std::size_t>(requester);
-    const auto target_index = static_cast<std::size_t>(target);
-    forget_backlog(requester_index);
-    directory_.at(target_index).state = HostState::kReserved;
-    outstanding_grants_[requester_index] = {target_index};
-    send_sub_to_client(
-        sub, requester_index, Msg::kSplitGrant, kControlMessageBytes,
-        [this, requester_index, target_index] {
-          Client* c = client(requester_index);
-          if (c == nullptr || !c->alive()) {
-            on_split_failed(requester_index, target_index);
-            return;
-          }
-          c->grant_split({target_index});
-        });
+    grant(static_cast<std::size_t>(requester),
+          {static_cast<std::size_t>(target)},
+          static_cast<std::ptrdiff_t>(sub), /*migrate=*/false);
   }
   // Starving: idle capacity with nothing local to split. One outstanding
   // WORK_REQUEST at a time; the root brokers a split from the most
   // loaded site.
-  bool local_work = false;
-  for (const std::size_t host : sm.backlog) {
-    if (outstanding_grants_.count(host) == 0) {
-      local_work = true;
-      break;
-    }
-  }
-  if (problem_assigned_ && !sm.work_requested && !local_work &&
-      best_idle_at_site(sub) >= 0) {
+  if (problem_assigned_ && !sm.work_requested &&
+      oldest_requester(sm.backlog) < 0 && best_idle_at_site(sub) >= 0) {
     sm.work_requested = true;
     send_sub_to_root(sub, Msg::kWorkRequest, kControlMessageBytes,
                      [this, sub] { root_on_work_request(sub); });
@@ -2164,137 +2095,28 @@ void Campaign::root_broker() {
 
 void Campaign::sub_on_broker(std::size_t sub, std::size_t peer_host) {
   if (done_) return;
-  SubMaster& sm = sub_masters_[sub];
   // The sub-master picks the donor client itself, from its own (current)
   // backlog — the root only chose the site.
-  std::ptrdiff_t requester = -1;
-  double oldest = -1.0;
-  if (sm.alive) {
-    for (const std::size_t host : sm.backlog) {
-      if (directory_.at(host).state != HostState::kBusy) continue;
-      if (outstanding_grants_.count(host) != 0) continue;
-      const double running = engine_.now() - directory_.at(host).busy_since;
-      if (running > oldest) {
-        oldest = running;
-        requester = static_cast<std::ptrdiff_t>(host);
-      }
-    }
-  }
+  const SubMaster& sm = sub_masters_[sub];
+  const std::ptrdiff_t requester = sm.alive ? oldest_requester(sm.backlog) : -1;
   if (requester < 0) {
     // Dead, or the backlog drained since the root looked: give the
     // reserved peer back.
     send_sub_to_root(sub, Msg::kBrokerFailed, kControlMessageBytes,
-                     [this, sub, peer_host] {
-                       root_on_broker_failed(sub, peer_host);
-                     });
+                     [this, peer_host] { root_on_broker_failed(peer_host); });
     return;
   }
-  const auto requester_index = static_cast<std::size_t>(requester);
-  forget_backlog(requester_index);
-  outstanding_grants_[requester_index] = {peer_host};
   ++result_.brokered_splits;
-  send_sub_to_client(
-      sub, requester_index, Msg::kSplitGrant, kControlMessageBytes,
-      [this, requester_index, peer_host] {
-        Client* c = client(requester_index);
-        if (c == nullptr || !c->alive()) {
-          on_split_failed(requester_index, peer_host);
-          return;
-        }
-        c->grant_split({peer_host});
-      });
+  grant(static_cast<std::size_t>(requester), {peer_host},
+        static_cast<std::ptrdiff_t>(sub), /*migrate=*/false);
 }
 
-void Campaign::root_on_broker_failed(std::size_t sub, std::size_t peer_host) {
-  (void)sub;
+void Campaign::root_on_broker_failed(std::size_t peer_host) {
   if (done_) return;
   grid::ResourceEntry& entry = directory_.at(peer_host);
   if (entry.state == HostState::kReserved) entry.state = HostState::kIdle;
   try_dispatch();
   check_termination();
-}
-
-void Campaign::hier_dispatch() {
-  if (done_) return;
-  // Bounced requests that waited at the root migrate back once their
-  // site's sub-master is re-homed; requests from uncovered sites stay.
-  for (auto it = backlog_.begin(); it != backlog_.end();) {
-    const std::ptrdiff_t sub = route_sub(*it);
-    if (sub >= 0 && sub_masters_[sub].alive) {
-      sub_masters_[sub].backlog.insert(*it);
-      it = backlog_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  // Restores are root-homed: the carrier's site (and its sub-master) may
-  // be gone, and that space is covered by nobody — best idle anywhere.
-  while (!pending_restores_.empty()) {
-    const std::ptrdiff_t target =
-        directory_.best_in_state(HostState::kIdle, config_.min_client_memory);
-    if (target < 0) break;
-    auto sp = pending_restores_.front();
-    pending_restores_.pop_front();
-    directory_.at(static_cast<std::size_t>(target)).state =
-        HostState::kReserved;
-    assign_subproblem(static_cast<std::size_t>(target), std::move(sp));
-  }
-  // Root-homed backlog (uncovered sites, dead-sub stragglers): flat-style
-  // grants against the global idle pool.
-  for (;;) {
-    if (backlog_.empty()) break;
-    const std::ptrdiff_t target =
-        directory_.best_in_state(HostState::kIdle, config_.min_client_memory);
-    if (target < 0) break;
-    std::ptrdiff_t requester = -1;
-    double oldest = -1.0;
-    for (const std::size_t host : backlog_) {
-      const grid::ResourceEntry& e = directory_.at(host);
-      if (e.state != HostState::kBusy) continue;
-      if (outstanding_grants_.count(host) != 0) continue;
-      const double running = engine_.now() - e.busy_since;
-      if (running > oldest) {
-        oldest = running;
-        requester = static_cast<std::ptrdiff_t>(host);
-      }
-    }
-    if (requester < 0) {
-      std::erase_if(backlog_, [this](std::size_t host) {
-        return directory_.at(host).state != HostState::kBusy;
-      });
-      break;
-    }
-    const auto requester_index = static_cast<std::size_t>(requester);
-    const auto target_index = static_cast<std::size_t>(target);
-    forget_backlog(requester_index);
-    directory_.at(target_index).state = HostState::kReserved;
-    outstanding_grants_[requester_index] = {target_index};
-    send_to_client(requester_index, Msg::kSplitGrant, kControlMessageBytes,
-                   [this, requester_index, target_index] {
-                     Client* c = client(requester_index);
-                     if (c == nullptr || !c->alive()) {
-                       on_split_failed(requester_index, target_index);
-                       return;
-                     }
-                     c->grant_split({target_index});
-                   });
-  }
-  // Site-local dispatch everywhere, then cross-site brokering.
-  for (std::size_t s = 0; s < sub_masters_.size(); ++s) sub_try_dispatch(s);
-  root_broker();
-  // Work waiting with nobody idle: spin a client up on a free host, as
-  // the flat dispatcher does.
-  bool have_work = !pending_restores_.empty() || !backlog_.empty();
-  for (const SubMaster& sm : sub_masters_) {
-    have_work = have_work || !sm.backlog.empty();
-  }
-  if (have_work &&
-      directory_.best_in_state(HostState::kIdle, config_.min_client_memory) <
-          0) {
-    const std::ptrdiff_t free_host = directory_.best_in_state(
-        HostState::kFree, config_.min_client_memory);
-    if (free_host >= 0) launch_client(static_cast<std::size_t>(free_host));
-  }
 }
 
 void Campaign::check_termination() {

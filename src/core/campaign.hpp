@@ -139,6 +139,9 @@ class Client {
   void compute_slice();
   void post_slice();
   void finish_subproblem(solver::SolveStatus status);
+  /// Close the current tenancy: fold the solver's work and import counts
+  /// into the client's totals, drop the solver and its unsent exports.
+  void end_tenancy();
   void perform_split();
   void perform_migration();
   void flush_exports();
@@ -316,17 +319,15 @@ class Campaign {
   // --- master logic ----------------------------------------------------
   void launch_client(std::size_t host_index);
   void on_register(std::size_t host_index);
-  void on_split_request(std::size_t host_index);
-  void on_split_failed(std::size_t requester, std::size_t peer);
+  void on_split_failed(std::size_t requester);
   /// Msg 5. kHybrid ships one split child to several peers at once;
   /// `peers` with more than one entry registers a racing cohort.
   void on_subproblem_sent(std::size_t from, std::vector<std::size_t> peers);
-  void on_migrated(std::size_t from, std::size_t to);
+  void on_migrated(std::size_t from);
   /// A subproblem transfer whose receiver died mid-flight: requeue it
   /// (checkpoint-recovery mode) or abort the run.
   void on_lost_subproblem(std::shared_ptr<solver::Subproblem> sp,
                           std::size_t host_index);
-  void note_subproblem_in_flight() { ++subproblems_in_flight_; }
   void on_subproblem_ack(std::size_t host_index,
                          std::uint64_t incarnation);           ///< msg 4
   /// Receiver was already busy: requeue the payload for another client.
@@ -363,7 +364,22 @@ class Campaign {
                     std::shared_ptr<solver::Subproblem> sp);
   void on_client_died(std::size_t host_index, bool was_busy);
   void on_mem_out(std::size_t host_index);
+  /// The one dispatcher, for flat and hierarchical masters alike (flat
+  /// is the root tier with no sub-masters): re-home bounced requests,
+  /// restores to the best idle host anywhere, root-homed backlog grants,
+  /// site-local dispatch and brokering, then relaunch a free host if work
+  /// waits and nobody is idle.
   void try_dispatch();
+  /// Longest-running busy host in `backlog` with no outstanding grant
+  /// (§3.4), or -1.
+  [[nodiscard]] std::ptrdiff_t oldest_requester(
+      const std::set<std::size_t>& backlog) const;
+  /// Grant `requester` a split toward `targets` (or, with `migrate`, a
+  /// migration to targets[0]): drop its parked request, reserve the
+  /// targets, record the outstanding grant, and send SPLIT_GRANT or
+  /// MIGRATE_ORDER from the root, or from sub-master `via_sub` when >= 0.
+  void grant(std::size_t requester, std::vector<std::size_t> targets,
+             std::ptrdiff_t via_sub, bool migrate);
   /// Release the reservation held for `requester`'s outstanding grant (if
   /// any): the requester finished, died, or declined before splitting.
   void release_grant(std::size_t requester);
@@ -382,6 +398,15 @@ class Campaign {
   };
   [[nodiscard]] ShipPlan plan_subproblem_ship(std::size_t to_host,
                                               solver::Subproblem& sp);
+  /// Send `sp` from client `from_host` (-1 = the master) to `to_host`
+  /// and start it there on arrival, or report it lost if the receiver
+  /// died meanwhile. kSubproblem plans the ship and puts one more
+  /// subproblem in flight; kBaseShip re-sends the base block ahead of a
+  /// renegotiated full start of a subproblem already in flight. Returns
+  /// the transfer time charged.
+  double ship(std::ptrdiff_t from_host, std::size_t to_host,
+              std::shared_ptr<solver::Subproblem> sp,
+              Msg kind = Msg::kSubproblem);
   void note_base_resident(std::size_t host_index);
   std::uint64_t next_incarnation() noexcept { return ++last_incarnation_; }
   /// Stable split-tree node ids. Allocation is tied to protocol decisions
@@ -401,9 +426,14 @@ class Campaign {
   /// Tag a lane with its host's grid site (kSiteTag metadata).
   void tag_site(std::size_t host_index);
   void sample_availability();
-  [[nodiscard]] std::size_t idle_at_site(const std::string& site) const;
+  [[nodiscard]] std::size_t idle_at_site(std::uint32_t site) const;
   void update_peak_active();
 
+  /// Kill the client on `host_index` and report the death to the master
+  /// after its monitoring delay. With `host_gone` the machine itself
+  /// leaves the pool (marked dead once the master notices), and the
+  /// report is sent even when no client was running there.
+  void kill_client(std::size_t host_index, bool host_gone);
   void release_host(std::size_t host_index);
   void begin_site_outage(const std::string& site, double down_for);
 
@@ -456,19 +486,16 @@ class Campaign {
   /// Grant splits locally while the site has both backlog and idle
   /// hosts; request brokered work from the root when starving.
   void sub_try_dispatch(std::size_t sub);
-  /// Hier tail of try_dispatch(): local dispatch on every site, then
-  /// root-level brokering between starving and loaded sites.
-  void hier_dispatch();
   void root_broker();
   // Root-side handlers for sub-master traffic.
   void root_on_work_request(std::size_t sub);
-  void root_on_broker_failed(std::size_t sub, std::size_t peer_host);
-  void root_on_site_summary(std::size_t sub);
+  void root_on_broker_failed(std::size_t peer_host);
+  void root_on_site_summary();
   void root_on_digest(std::size_t sub, std::shared_ptr<ClauseBatch> batch);
   void rehome_sub_master(std::size_t sub);
   /// Park a split request where this topology keeps it: the site
   /// backlog when a live sub-master covers the host, the root backlog
-  /// otherwise (hier_dispatch re-homes stragglers once the sub returns).
+  /// otherwise (try_dispatch re-homes stragglers once the sub returns).
   void enqueue_split_request(std::size_t host_index);
   /// Erase a host's pending split request everywhere it could be parked
   /// (root backlog and every site backlog).
@@ -506,26 +533,15 @@ class Campaign {
   [[nodiscard]] std::uint32_t kind_id(Msg kind) const noexcept {
     return msg_ids_[static_cast<std::size_t>(kind)];
   }
-  [[nodiscard]] std::uint32_t endpoint_id(std::size_t host) const noexcept {
-    return endpoint_ids_[host];
-  }
-  [[nodiscard]] std::uint32_t site_id(std::size_t host) const noexcept {
-    return site_ids_[host];
-  }
   /// `flow` stitches the message into an existing trace flow; 0 lets the
   /// bus allocate a fresh single-hop flow (see sim::MessageHeader).
-  double send(std::uint32_t from, std::uint32_t from_site, std::uint32_t to,
-              std::uint32_t to_site, Msg kind, std::size_t bytes,
-              sim::Callback handler, std::uint64_t flow = 0);
+  void send(std::uint32_t from, std::uint32_t from_site, std::uint32_t to,
+            std::uint32_t to_site, Msg kind, std::size_t bytes,
+            sim::Callback handler, std::uint64_t flow = 0);
   void send_to_master(std::size_t from_host, Msg kind, std::size_t bytes,
                       sim::Callback handler, std::uint64_t flow = 0);
   void send_to_client(std::size_t to_host, Msg kind, std::size_t bytes,
                       sim::Callback handler, std::uint64_t flow = 0);
-  /// Peer-to-peer client send (Figure 3 message 3); returns the
-  /// transfer time charged.
-  double send_peer(std::size_t from_host, std::size_t to_host, Msg kind,
-                   std::size_t bytes, sim::Callback handler,
-                   std::uint64_t flow = 0);
   [[nodiscard]] static std::size_t clause_batch_bytes(
       const std::vector<cnf::Clause>& batch);
 

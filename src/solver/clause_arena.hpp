@@ -98,9 +98,6 @@ class ClauseArena {
   void set_lit(ClauseRef r, std::uint32_t i, cnf::Lit l) {
     data_[r + kHeaderWords + i] = l.code();
   }
-  void swap_lits(ClauseRef r, std::uint32_t i, std::uint32_t j) {
-    std::swap(data_[r + kHeaderWords + i], data_[r + kHeaderWords + j]);
-  }
 
   [[nodiscard]] std::span<const cnf::Lit> lits(ClauseRef r) const {
     static_assert(sizeof(cnf::Lit) == sizeof(std::uint32_t));
@@ -110,7 +107,7 @@ class ClauseArena {
 
   /// Mutable literal view for the BCP hot loop: lets the watcher scan
   /// read and reorder a clause through one pointer instead of per-slot
-  /// lit()/swap_lits() calls (each of which re-derives the base offset).
+  /// lit()/set_lit() calls (each of which re-derives the base offset).
   [[nodiscard]] std::span<cnf::Lit> lits_mut(ClauseRef r) {
     static_assert(sizeof(cnf::Lit) == sizeof(std::uint32_t));
     return {reinterpret_cast<cnf::Lit*>(&data_[r + kHeaderWords]), size(r)};
