@@ -20,7 +20,6 @@
 
 #include "core/campaign.hpp"
 #include "core/testbeds.hpp"
-#include "gen/circuit_families.hpp"
 #include "gen/suite.hpp"
 #include "util/flags.hpp"
 #include "util/json.hpp"
@@ -212,122 +211,35 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The BH-alone control and the WAN wire ablation exercise the batch and
-  // wire layers, not the master topology; skip both in the CI smoke.
-  if (quick) {
-    const std::string& quick_path = flags.str("json");
-    if (!quick_path.empty()) {
-      std::FILE* out = std::fopen(quick_path.c_str(),
-                                  flags.boolean("append") ? "a" : "w");
-      if (out == nullptr) {
-        std::fprintf(stderr, "cannot open %s\n", quick_path.c_str());
-        return 1;
-      }
-      std::fputs(json_rows.c_str(), out);
-      std::fclose(out);
-      std::printf("\nwrote %s\n", quick_path.c_str());
+  // The BH-alone control exercises the batch layer, not the master
+  // topology; skip it in the CI smoke.
+  if (!quick) {
+    // --- The Blue-Horizon-alone control for the par32 analog --------------
+    std::printf("\n--- par32-1-c.cnf control: Blue Horizon alone (no grid "
+                "hosts) ---\n");
+    const auto& par32 = gen::suite::by_name("par32-1-c.cnf");
+    const Table2Outcome with_grid = run_row(par32, scale, bh_nodes, seed, true);
+    // The paper re-launched on Blue Horizon alone and let it run to the
+    // answer (~12 h); emulate the resubmission by lifting the job cap.
+    const Table2Outcome bh_alone =
+        run_row(par32, scale, bh_nodes, seed, false, /*duration_factor=*/8.0);
+    std::printf("grid + BH : %s\n", outcome_cell(with_grid).c_str());
+    std::printf("BH alone  : %s\n", outcome_cell(bh_alone).c_str());
+    if (with_grid.result.batch_started && bh_alone.result.batch_started &&
+        with_grid.result.status != core::CampaignStatus::kTimeout &&
+        bh_alone.result.status != core::CampaignStatus::kTimeout) {
+      const double bh_hours_with_grid =
+          with_grid.result.batch_run_s / scale / 3600.0;
+      const double bh_hours_alone =
+          bh_alone.result.batch_run_s / scale / 3600.0;
+      const double cpus_per_node = 8.0;
+      const double saved = (bh_hours_alone - bh_hours_with_grid) *
+                           cpus_per_node * static_cast<double>(bh_nodes) *
+                           (100.0 / static_cast<double>(bh_nodes));
+      std::printf("grid saved ~%.0f Blue Horizon processor-hours at paper "
+                  "scale (paper: (12-8)h x 8 cpus x 100 nodes = 3200)\n",
+                  saved);
     }
-    return 0;
-  }
-
-  // --- The Blue-Horizon-alone control for the par32 analog --------------
-  std::printf("\n--- par32-1-c.cnf control: Blue Horizon alone (no grid "
-              "hosts) ---\n");
-  const auto& par32 = gen::suite::by_name("par32-1-c.cnf");
-  const Table2Outcome with_grid = run_row(par32, scale, bh_nodes, seed, true);
-  // The paper re-launched on Blue Horizon alone and let it run to the
-  // answer (~12 h); emulate the resubmission by lifting the job cap.
-  const Table2Outcome bh_alone =
-      run_row(par32, scale, bh_nodes, seed, false, /*duration_factor=*/8.0);
-  std::printf("grid + BH : %s\n", outcome_cell(with_grid).c_str());
-  std::printf("BH alone  : %s\n", outcome_cell(bh_alone).c_str());
-  if (with_grid.result.batch_started && bh_alone.result.batch_started &&
-      with_grid.result.status != core::CampaignStatus::kTimeout &&
-      bh_alone.result.status != core::CampaignStatus::kTimeout) {
-    const double bh_hours_with_grid =
-        with_grid.result.batch_run_s / scale / 3600.0;
-    const double bh_hours_alone = bh_alone.result.batch_run_s / scale / 3600.0;
-    const double cpus_per_node = 8.0;
-    const double saved = (bh_hours_alone - bh_hours_with_grid) *
-                         cpus_per_node * static_cast<double>(bh_nodes) *
-                         (100.0 / static_cast<double>(bh_nodes));
-    std::printf("grid saved ~%.0f Blue Horizon processor-hours at paper "
-                "scale (paper: (12-8)h x 8 cpus x 100 nodes = 3200)\n",
-                saved);
-  }
-
-  // --- Bandwidth-constrained row: the wire-format ablation --------------
-  // The paper's subproblem transfers run to "100s of MBytes" over the
-  // wide area; the scaled suite rows are too small to stress that. This
-  // row uses a large unrolled-circuit analog (24-bit adder equivalence
-  // miter, ~17 KB problem-clause block) and throttles every link — the
-  // inter-site WAN hard, the intra-site LAN to a congested shared
-  // segment (bench_pingpong's slow-WAN precedent: at the default
-  // 12 MB/s intra rate the payloads are free and only trajectory noise
-  // remains) — then reruns with the wire overhaul (base-ref caching +
-  // bounded split payloads + incremental checkpoints, DESIGN.md §4e)
-  // off and on. Warm hosts skip the problem block and ship a bounded
-  // learned block on every repeat ship, so the v2 campaign spends less
-  // virtual time waiting on the network. (The 32-bit miter is too hard
-  // for this testbed: a multi-virtual-hour campaign's search trajectory
-  // diverges between the two runs and swamps the transfer savings.)
-  std::printf("\n--- bandwidth-constrained row: adder_miter(24) over a slow "
-              "WAN (1 s latency, 4 KB/s inter-site; 32 KB/s intra) ---\n");
-  std::printf("%-6s %-8s %-10s %-9s %-12s %-12s %s\n", "wire", "verdict",
-              "seconds", "splits", "msg bytes", "base-refs", "warm drop");
-  std::printf("%s\n", std::string(76, '-').c_str());
-  const cnf::CnfFormula miter = gen::adder_miter(24, false, 7);
-  double v1_seconds = 0.0;
-  for (const bool wire : {false, true}) {
-    core::GridSatConfig config = table2_config(scale, seed);
-    config.base_ref_caching = wire;
-    config.incremental_checkpoints = wire;
-    // Pre-overhaul ships carried the sender's whole learned DB.
-    if (!wire) config.split_learned_budget_bytes = 0;
-    core::Campaign campaign(miter, core::testbeds::kMasterSite,
-                            core::testbeds::grads27_ucsb(), config);
-    sim::LinkSpec slow;
-    slow.latency_s = 1.0;
-    slow.bandwidth_bps = 4.0 * 1024;
-    campaign.network().set_inter_site(slow);
-    sim::LinkSpec lan;
-    lan.latency_s = 0.1;
-    lan.bandwidth_bps = 32.0 * 1024;
-    campaign.network().set_intra_site(lan);
-    const core::GridSatResult r = campaign.run();
-    if (!wire) v1_seconds = r.seconds;
-    const double warm_drop =
-        r.base_ref_payload_bytes > 0
-            ? static_cast<double>(r.warm_ship_bytes_v1) /
-                  static_cast<double>(r.base_ref_payload_bytes)
-            : 0.0;
-    std::printf("%-6s %-8s %-10.0f %-9llu %-12s %-12llu %.2fx\n",
-                wire ? "v2" : "v1", to_string(r.status), r.seconds,
-                static_cast<unsigned long long>(r.total_splits),
-                util::format_bytes(static_cast<double>(r.bytes_transferred))
-                    .c_str(),
-                static_cast<unsigned long long>(r.base_ref_transfers),
-                warm_drop);
-    std::fflush(stdout);
-    util::JsonWriter json;
-    json.begin_object()
-        .field("bench", "table2_wan")
-        .field("instance", "adder_miter-24")
-        .field("wire_overhaul", wire)
-        .field("status", core::to_string(r.status))
-        .field("seconds", r.seconds)
-        .field("seconds_wire_v1", v1_seconds)
-        .field("splits", r.total_splits)
-        .field("bytes_transferred", r.bytes_transferred)
-        .field("base_ref_transfers", r.base_ref_transfers)
-        .field("base_ref_bytes_saved", r.base_ref_bytes_saved)
-        .field("base_ref_payload_bytes", r.base_ref_payload_bytes)
-        .field("warm_ship_bytes_v1", r.warm_ship_bytes_v1)
-        .field("ship_trim_bytes_saved", r.ship_trim_bytes_saved)
-        .field("warm_transfer_drop", warm_drop)
-        .end_object();
-    json_rows += json.str();
-    json_rows += '\n';
   }
 
   const std::string& path = flags.str("json");

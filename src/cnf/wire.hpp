@@ -46,51 +46,36 @@ void encode_sorted_codes(W& out, std::span<const std::uint32_t> codes) {
   }
 }
 
-/// Encode `count` clauses as length-grouped runs. The clauses are
-/// addressed by index so callers can encode straight out of whatever
-/// store they own (a std::vector<Clause>, a ClauseArena span) without
-/// materializing a copy:
-///   size_of(i)        -> number of literals in clause i
-///   codes_of(i, tmp)  -> fill tmp with clause i's literal codes (any order)
-/// Empty clauses are not representable on the wire (an empty clause means
-/// the search already refuted this node; nothing legitimate ships one).
-template <class W, class SizeFn, class CodesFn>
-void encode_clause_stream(W& out, std::size_t count, SizeFn&& size_of,
-                          CodesFn&& codes_of) {
+/// Encode clauses as length-grouped runs. Empty clauses are not
+/// representable on the wire (an empty clause means the search already
+/// refuted this node; nothing legitimate ships one).
+template <class W>
+void encode_clause_stream(W& out, std::span<const Clause> clauses) {
+  const std::size_t count = clauses.size();
   out.var_u64(count);
   std::vector<std::uint32_t> order(count);
   std::iota(order.begin(), order.end(), 0u);
   std::stable_sort(order.begin(), order.end(),
                    [&](std::uint32_t a, std::uint32_t b) {
-                     return size_of(a) < size_of(b);
+                     return clauses[a].size() < clauses[b].size();
                    });
   std::vector<std::uint32_t> codes;
   std::size_t i = 0;
   while (i < count) {
-    const std::size_t len = size_of(order[i]);
+    const std::size_t len = clauses[order[i]].size();
     if (len == 0) throw util::DecodeError("cannot encode an empty clause");
     std::size_t j = i + 1;
-    while (j < count && size_of(order[j]) == len) ++j;
+    while (j < count && clauses[order[j]].size() == len) ++j;
     out.var_u64(len);
     out.var_u64(j - i);
     for (std::size_t k = i; k < j; ++k) {
       codes.clear();
-      codes_of(order[k], codes);
+      for (const Lit l : clauses[order[k]]) codes.push_back(l.code());
       std::sort(codes.begin(), codes.end());
       encode_sorted_codes(out, codes);
     }
     i = j;
   }
-}
-
-/// Convenience overload for a contiguous range of cnf::Clause.
-template <class W>
-void encode_clause_stream(W& out, std::span<const Clause> clauses) {
-  encode_clause_stream(
-      out, clauses.size(), [&](std::uint32_t i) { return clauses[i].size(); },
-      [&](std::uint32_t i, std::vector<std::uint32_t>& codes) {
-        for (const Lit l : clauses[i]) codes.push_back(l.code());
-      });
 }
 
 /// Decode a clause stream, appending to `out`. Clauses come back with

@@ -124,7 +124,7 @@ void Client::start_subproblem(std::shared_ptr<solver::Subproblem> sp,
   const std::size_t share_cap = campaign_.config().share_max_len;
   const bool collect_deltas =
       campaign_.config().checkpoint == CheckpointMode::kHeavy &&
-      campaign_.config().incremental_checkpoints;
+      campaign_.config().checkpoint_chain_max > 0;
   // The simulated campaign keeps the paper's pure length filter (§3.2).
   // The LBD rides along with each kept export: the flat path drops it,
   // the hierarchical path ships it to the sub-master, whose inter-site
@@ -395,8 +395,7 @@ void Client::maybe_checkpoint() {
   // last master-acked epoch. Fall back to a full snapshot until the
   // first ship is acked, after a NACK, and every checkpoint_chain_max
   // deltas (bounding chain memory and recovery replay length).
-  const bool delta = cp.heavy && campaign_.config().incremental_checkpoints &&
-                     ckpt_acked_epoch_ > 0 && !ckpt_force_full_ &&
+  const bool delta = cp.heavy && ckpt_acked_epoch_ > 0 && !ckpt_force_full_ &&
                      ckpt_deltas_since_full_ <
                          campaign_.config().checkpoint_chain_max;
   cp.epoch = ++ckpt_epoch_;
@@ -808,11 +807,9 @@ void Campaign::set_metrics(obs::MetricRegistry* metrics) {
       {"campaign.splits", &GridSatResult::total_splits},
       {"campaign.clauses_shared", &GridSatResult::clauses_shared},
       {"campaign.races_cancelled", &GridSatResult::races_cancelled},
-      // Wire-transfer accounting (DESIGN.md §4e): base-ref ships and the
-      // bytes they avoided, trimmed payloads, renegotiations, checkpoints.
+      // Wire-transfer accounting (DESIGN.md §4e): base-ref ships, trimmed
+      // payloads, renegotiations, checkpoints.
       {"campaign.wire.base_ref_transfers", &GridSatResult::base_ref_transfers},
-      {"campaign.wire.base_ref_bytes_saved",
-       &GridSatResult::base_ref_bytes_saved},
       {"campaign.wire.ship_learned_trimmed",
        &GridSatResult::ship_learned_trimmed},
       {"campaign.wire.base_renegotiations",
@@ -1053,29 +1050,18 @@ double Campaign::ship(std::ptrdiff_t from_host, std::size_t to_host,
 Campaign::ShipPlan Campaign::plan_subproblem_ship(std::size_t to_host,
                                                   solver::Subproblem& sp) {
   sp.base_fingerprint = base_fingerprint_;
-  // What the pre-overhaul format would ship for this transfer: the whole
-  // learned block plus the problem-clause block.
-  const std::size_t pre_trim_bytes = sp.wire_size(solver::WireMode::kFull);
-  std::size_t full_bytes = pre_trim_bytes;
   if (const std::size_t budget = config_.split_learned_budget_bytes;
       budget > 0) {
-    if (const std::size_t dropped = sp.trim_learned(budget); dropped > 0) {
-      result_.ship_learned_trimmed += dropped;
-      full_bytes = sp.wire_size(solver::WireMode::kFull);
-      result_.ship_trim_bytes_saved += pre_trim_bytes - full_bytes;
-    }
+    result_.ship_learned_trimmed += sp.trim_learned(budget);
   }
+  solver::WireMode mode = solver::WireMode::kFull;
   const auto resident = base_resident_.find(to_host);
-  if (config_.base_ref_caching && resident != base_resident_.end() &&
+  if (resident != base_resident_.end() &&
       resident->second == base_fingerprint_) {
-    const std::size_t ref_bytes = sp.wire_size(solver::WireMode::kBaseRef);
+    mode = solver::WireMode::kBaseRef;
     ++result_.base_ref_transfers;
-    result_.base_ref_bytes_saved += full_bytes - ref_bytes;
-    result_.base_ref_payload_bytes += ref_bytes;
-    result_.warm_ship_bytes_v1 += pre_trim_bytes;
-    return {solver::WireMode::kBaseRef, ref_bytes};
   }
-  return {solver::WireMode::kFull, full_bytes};
+  return {mode, sp.wire_size(mode)};
 }
 
 void Campaign::note_base_resident(std::size_t host_index) {

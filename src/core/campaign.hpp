@@ -389,9 +389,10 @@ class Campaign {
   void assign_subproblem(std::size_t host_index,
                          std::shared_ptr<solver::Subproblem> sp);
   /// Decide how a subproblem ships to `to_host` and charge the wire
-  /// accounting: a host whose resident base matches the campaign
-  /// fingerprint receives a base reference (no problem-clause bytes).
-  /// Stamps the campaign fingerprint onto the payload either way.
+  /// accounting: stamp the campaign fingerprint, trim the learned block
+  /// to split_learned_budget_bytes, and pick a base reference (no
+  /// problem-clause bytes) when the host's resident base matches. The
+  /// payload is encoded once, to size it in the chosen mode.
   struct ShipPlan {
     solver::WireMode mode;
     std::size_t bytes;

@@ -68,17 +68,17 @@ struct GridSatConfig {
   /// client's death aborts the run, matching the paper's stated limits.
   bool recover_from_checkpoints = false;
 
-  /// Wire-transfer overhaul knobs (DESIGN.md §4e). Base-formula caching:
-  /// hosts that already hold the problem-clause block receive a
-  /// fingerprint reference instead of the clause bytes on later splits/
-  /// migrations; a residency mismatch renegotiates to a full ship.
-  bool base_ref_caching = true;
+  /// Base-formula caching (DESIGN.md §4e) is always on: hosts that already
+  /// hold the problem-clause block receive a fingerprint reference instead
+  /// of the clause bytes on later splits/migrations; a residency mismatch
+  /// renegotiates to a full ship. Not a knob; the name stays because
+  /// perfbench/main.cpp reads `cc.base_ref_caching`.
+  static constexpr bool base_ref_caching = true;
   /// Heavy checkpoints ship one full snapshot per subproblem incarnation
-  /// and then deltas carrying only the clauses learned since the last
-  /// master-acked epoch; the master keeps the full+delta chain.
-  bool incremental_checkpoints = true;
-  /// Re-ship a full heavy checkpoint after this many deltas, bounding
-  /// both the master's chain memory and the recovery replay length.
+  /// and then up to this many deltas carrying only the clauses learned
+  /// since the last master-acked epoch (the master keeps the full+delta
+  /// chain), bounding both its chain memory and the recovery replay
+  /// length. 0 = every heavy checkpoint is a full snapshot.
   std::size_t checkpoint_chain_max = 8;
   /// Budget (bytes) for the learned-clause block shipped with a split or
   /// migration; 0 = unlimited (ship the sender's whole DB, the

@@ -108,12 +108,14 @@ ScenarioOutcome run_scenario(std::uint64_t seed, obs::Tracer* tracer) {
       break;
   }
   config.recover_from_checkpoints = !rng.chance(4);
-  // Wire-transfer dimensions (DESIGN.md §4e): base-ref caching and
-  // incremental checkpoint chains interleave with kills/recoveries so the
-  // proof oracle sweeps chain restores and renegotiated base ships.
-  config.base_ref_caching = !rng.chance(4);
-  config.incremental_checkpoints = !rng.chance(4);
+  // Wire-transfer dimensions (DESIGN.md §4e): checkpoint chain lengths,
+  // full-only snapshots included, interleave with kills/recoveries so the
+  // proof oracle sweeps chain restores. The retired base-ref caching draw
+  // is kept so later draws keep their positions in the stream.
+  static_cast<void>(rng.chance(4));
+  const bool full_only_checkpoints = rng.chance(4);
   config.checkpoint_chain_max = rng.range(1, 8);
+  if (full_only_checkpoints) config.checkpoint_chain_max = 0;
   // Bounded split payloads: trimming the shipped learned block must never
   // change a verdict (dropped clauses are consequences), including at
   // budgets small enough to drop everything.

@@ -53,26 +53,14 @@ struct GridSatResult {
   std::uint64_t hosts_released = 0;
   std::uint64_t site_outages = 0;
   /// Wire-transfer accounting (DESIGN.md §4e). Subproblem transfers that
-  /// shipped a base reference instead of the problem-clause block, and
-  /// the bytes that saved vs. a full ship of the same payload.
+  /// shipped a base reference instead of the problem-clause block.
   std::uint64_t base_ref_transfers = 0;
-  std::uint64_t base_ref_bytes_saved = 0;
-  /// Bytes actually shipped by base-ref transfers (the drop factor on a
-  /// warm repeat transfer is (payload + saved) / payload).
-  std::uint64_t base_ref_payload_bytes = 0;
   /// Base-ref transfers that arrived at a host without the base (stale
   /// cache after a relaunch) and were renegotiated to a full ship.
   std::uint64_t base_renegotiations = 0;
   /// Learned clauses dropped from split/migration payloads by the
-  /// `split_learned_budget_bytes` cap (bounded exchange buffers), and the
-  /// serialized bytes that trimming removed across all ships.
+  /// `split_learned_budget_bytes` cap (bounded exchange buffers).
   std::uint64_t ship_learned_trimmed = 0;
-  std::uint64_t ship_trim_bytes_saved = 0;
-  /// Bytes the pre-overhaul format (untrimmed payload + problem block)
-  /// would have shipped on the repeat transfers that actually went out as
-  /// base-refs; the warm-transfer drop factor is
-  /// warm_ship_bytes_v1 / base_ref_payload_bytes.
-  std::uint64_t warm_ship_bytes_v1 = 0;
   /// Hierarchical-master accounting (DESIGN.md §4j). Messages addressed to
   /// each coordinator tier: the root master vs. the per-site sub-masters.
   /// Both topologies count root_messages_handled, so a flat and a

@@ -85,9 +85,11 @@ std::size_t Subproblem::trim_learned(std::size_t budget_bytes) {
                    [](const cnf::Clause& a, const cnf::Clause& b) {
                      return a.size() < b.size();
                    });
-  // Per-clause cost is over-estimated (raw literal-code varints; the gap
-  // encoding on the wire is tighter), so the encoded block always fits
-  // the budget.
+  // Literal cost is over-estimated (raw literal-code varints; the gap
+  // encoding on the wire is never larger), and the 1 byte per clause
+  // covers each run's count varint. Only the stream count and each run's
+  // length varint go uncharged, so the block can exceed the budget by
+  // varint(count) + varint(len) per distinct length (see trim_learned).
   const auto varint_size = [](std::uint64_t v) {
     std::size_t n = 1;
     while ((v >>= 7) != 0) ++n;
@@ -96,7 +98,7 @@ std::size_t Subproblem::trim_learned(std::size_t budget_bytes) {
   std::size_t spent = 0;
   std::size_t keep = first;
   while (keep < clauses.size()) {
-    std::size_t cost = 1;  // length/run bookkeeping upper bound
+    std::size_t cost = 1;  // covers its share of the run count varint
     for (const cnf::Lit l : clauses[keep]) cost += varint_size(l.code());
     if (spent + cost > budget_bytes) break;
     spent += cost;

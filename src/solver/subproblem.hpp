@@ -20,12 +20,10 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "cnf/formula.hpp"
 #include "cnf/wire.hpp"
-#include "solver/clause_arena.hpp"
 #include "util/bytes.hpp"
 
 namespace gridsat::solver {
@@ -46,42 +44,6 @@ enum class WireMode : std::uint8_t { kFull = 0, kBaseRef = 1 };
 namespace detail {
 
 inline constexpr std::uint8_t kSubproblemFlagBaseRef = 0x01;
-
-/// Shared layout for Subproblem::serialize_to and serialize_from_arena:
-/// the two clause sections are pluggable so one caller encodes from
-/// std::vector<cnf::Clause> and the other straight out of a ClauseArena,
-/// with byte-identical output.
-template <class W, class EncodeProblem, class EncodeLearned>
-void serialize_subproblem_parts(W& out, cnf::Var num_vars,
-                                std::span<const SubproblemUnit> units,
-                                std::span<const cnf::Lit> assumptions,
-                                std::string_view path,
-                                std::uint64_t base_fingerprint, WireMode mode,
-                                EncodeProblem&& encode_problem,
-                                EncodeLearned&& encode_learned) {
-  out.u8(cnf::kWireFormatVersion);
-  out.u8(mode == WireMode::kBaseRef ? kSubproblemFlagBaseRef : 0);
-  out.u32(num_vars);
-  out.var_u64(units.size());
-  for (const SubproblemUnit& u : units) out.var_u64(u.lit.code());
-  // Taint flags as a bitmap (LSB-first) instead of one byte per unit.
-  std::uint8_t acc = 0;
-  int bits = 0;
-  for (const SubproblemUnit& u : units) {
-    acc = static_cast<std::uint8_t>(acc | ((u.tainted ? 1u : 0u) << bits));
-    if (++bits == 8) {
-      out.u8(acc);
-      acc = 0;
-      bits = 0;
-    }
-  }
-  if (bits != 0) out.u8(acc);
-  cnf::encode_lit_array(out, assumptions);
-  out.str(path);
-  out.u64(base_fingerprint);
-  if (mode == WireMode::kFull) encode_problem(out);
-  encode_learned(out);
-}
 
 }  // namespace detail
 
@@ -139,17 +101,32 @@ struct Subproblem {
 
   template <class W>
   void serialize_to(W& out, WireMode mode = WireMode::kFull) const {
+    out.u8(cnf::kWireFormatVersion);
+    out.u8(mode == WireMode::kBaseRef ? detail::kSubproblemFlagBaseRef : 0);
+    out.u32(num_vars);
+    out.var_u64(units.size());
+    for (const SubproblemUnit& u : units) out.var_u64(u.lit.code());
+    // Taint flags as a bitmap (LSB-first) instead of one byte per unit.
+    std::uint8_t acc = 0;
+    int bits = 0;
+    for (const SubproblemUnit& u : units) {
+      acc = static_cast<std::uint8_t>(acc | ((u.tainted ? 1u : 0u) << bits));
+      if (++bits == 8) {
+        out.u8(acc);
+        acc = 0;
+        bits = 0;
+      }
+    }
+    if (bits != 0) out.u8(acc);
+    cnf::encode_lit_array(out, std::span<const cnf::Lit>(assumptions));
+    out.str(path);
+    out.u64(base_fingerprint);
     const std::span<const cnf::Clause> all(clauses);
-    detail::serialize_subproblem_parts(
-        out, num_vars, units, assumptions, path, base_fingerprint, mode,
-        [&](W& w) {
-          cnf::encode_clause_stream(
-              w, all.subspan(0, static_cast<std::size_t>(num_problem_clauses)));
-        },
-        [&](W& w) {
-          cnf::encode_clause_stream(
-              w, all.subspan(static_cast<std::size_t>(num_problem_clauses)));
-        });
+    const auto split = static_cast<std::size_t>(num_problem_clauses);
+    if (mode == WireMode::kFull) {
+      cnf::encode_clause_stream(out, all.subspan(0, split));
+    }
+    cnf::encode_clause_stream(out, all.subspan(split));
   }
 
   void serialize(util::ByteWriter& out, WireMode mode = WireMode::kFull) const;
@@ -165,40 +142,16 @@ struct Subproblem {
   /// rehydrated (DESIGN.md §4e).
   void rehydrate(std::span<const cnf::Clause> base);
 
-  /// Bound the learned-clause block to ~`budget_bytes` of encoded size,
-  /// keeping the shortest (strongest) clauses. Learned clauses are
-  /// consequences of the original formula, so dropping any subset is
-  /// always sound — the receiver re-derives what it needs and the
-  /// sharing layer keeps streaming high-value clauses anyway. Returns
-  /// the number of clauses dropped.
+  /// Bound the learned-clause block by `budget_bytes`, keeping the
+  /// shortest (strongest) clauses. Each kept clause costs 1 byte plus the
+  /// varints of its literal codes; the encoded block is at most budget +
+  /// varint(count) + varint(len) per distinct clause length, i.e. ≤ budget
+  /// + varint(count) + 2 × distinct lengths for clauses under 16384
+  /// literals. Learned clauses are consequences of the original formula,
+  /// so dropping any subset is always sound — the receiver re-derives
+  /// what it needs and the sharing layer keeps streaming high-value
+  /// clauses anyway. Returns the number of clauses dropped.
   std::size_t trim_learned(std::size_t budget_bytes);
-
-  /// Encode a split/migration payload straight out of a ClauseArena —
-  /// byte-identical to materializing the clause vectors and calling
-  /// serialize(), without the std::vector<cnf::Clause> copy. The refs
-  /// name the live problem/learned clauses to ship, in arena order.
-  template <class W>
-  static void serialize_from_arena(
-      W& out, cnf::Var num_vars, std::span<const SubproblemUnit> units,
-      std::span<const cnf::Lit> assumptions, std::string_view path,
-      std::uint64_t base_fingerprint, WireMode mode, const ClauseArena& arena,
-      std::span<const ClauseRef> problem_refs,
-      std::span<const ClauseRef> learned_refs) {
-    const auto stream = [&arena](W& w, std::span<const ClauseRef> refs) {
-      cnf::encode_clause_stream(
-          w, refs.size(),
-          [&](std::uint32_t i) { return arena.size(refs[i]); },
-          [&](std::uint32_t i, std::vector<std::uint32_t>& codes) {
-            for (const cnf::Lit l : arena.lits(refs[i])) {
-              codes.push_back(l.code());
-            }
-          });
-    };
-    detail::serialize_subproblem_parts(
-        out, num_vars, units, assumptions, path, base_fingerprint, mode,
-        [&](W& w) { stream(w, problem_refs); },
-        [&](W& w) { stream(w, learned_refs); });
-  }
 
   friend bool operator==(const Subproblem&, const Subproblem&) = default;
 };
