@@ -39,16 +39,19 @@ inline constexpr std::uint8_t kWireFormatVersion = 2;
 /// first code absolute, then the gaps. Gap 0 (duplicate literal) is legal
 /// and round-trips.
 template <class W>
-void encode_sorted_codes(W& out, std::span<const std::uint32_t> codes) {
-  out.var_u64(codes[0]);
-  for (std::size_t i = 1; i < codes.size(); ++i) {
-    out.var_u64(codes[i] - codes[i - 1]);
+void encode_sorted_clause(W& out, std::span<const Lit> lits) {
+  out.var_u64(lits[0].code());
+  for (std::size_t i = 1; i < lits.size(); ++i) {
+    out.var_u64(lits[i].code() - lits[i - 1].code());
   }
 }
 
 /// Encode clauses as length-grouped runs. Empty clauses are not
 /// representable on the wire (an empty clause means the search already
-/// refuted this node; nothing legitimate ships one).
+/// refuted this node; nothing legitimate ships one). A clause that
+/// arrives sorted (CdclSolver::to_subproblem() emits every clause that
+/// way) is encoded in place; any other is copied and sorted first. Both
+/// paths emit the same bytes.
 template <class W>
 void encode_clause_stream(W& out, std::span<const Clause> clauses) {
   const std::size_t count = clauses.size();
@@ -59,7 +62,7 @@ void encode_clause_stream(W& out, std::span<const Clause> clauses) {
                    [&](std::uint32_t a, std::uint32_t b) {
                      return clauses[a].size() < clauses[b].size();
                    });
-  std::vector<std::uint32_t> codes;
+  Clause sorted;
   std::size_t i = 0;
   while (i < count) {
     const std::size_t len = clauses[order[i]].size();
@@ -69,10 +72,14 @@ void encode_clause_stream(W& out, std::span<const Clause> clauses) {
     out.var_u64(len);
     out.var_u64(j - i);
     for (std::size_t k = i; k < j; ++k) {
-      codes.clear();
-      for (const Lit l : clauses[order[k]]) codes.push_back(l.code());
-      std::sort(codes.begin(), codes.end());
-      encode_sorted_codes(out, codes);
+      const Clause& clause = clauses[order[k]];
+      if (std::is_sorted(clause.begin(), clause.end())) {
+        encode_sorted_clause(out, clause);
+        continue;
+      }
+      sorted.assign(clause.begin(), clause.end());
+      std::sort(sorted.begin(), sorted.end());
+      encode_sorted_clause(out, sorted);
     }
     i = j;
   }

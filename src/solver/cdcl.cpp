@@ -1,6 +1,7 @@
 #include "solver/cdcl.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <chrono>
 #include <sstream>
@@ -42,6 +43,44 @@ constexpr std::uint32_t kGlueLbd = 2;
 /// kGeometric restart growth per restart (MiniSat's classic factor).
 constexpr double kGeometricRestartGrowth = 1.5;
 
+/// Copy an arena clause out with strictly ascending literal codes (the
+/// canonical order the wire encoder and add_clause_at_level0() take
+/// without sorting). When the code span needs at most one 64-bit word
+/// per literal a bitmap over the span sorts in one linear pass; a wider
+/// span falls back to std::sort. Both paths drop a repeated literal
+/// (arena clauses hold none), so they return the same clause for any
+/// input. `bits` is caller-owned scratch, left all-zero.
+cnf::Clause canonical_clause(std::span<const Lit> lits,
+                             std::vector<std::uint64_t>& bits) {
+  std::uint32_t lo = lits[0].code();
+  std::uint32_t hi = lo;
+  for (const Lit l : lits) {
+    lo = std::min(lo, l.code());
+    hi = std::max(hi, l.code());
+  }
+  const std::size_t words = ((hi - lo) >> 6) + 1;
+  if (words > lits.size()) {
+    cnf::Clause out(lits.begin(), lits.end());
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
+  }
+  if (bits.size() < words) bits.resize(words, 0);
+  for (const Lit l : lits) {
+    const std::uint32_t d = l.code() - lo;
+    bits[d >> 6] |= std::uint64_t{1} << (d & 63);
+  }
+  cnf::Clause out;
+  out.reserve(lits.size());
+  for (std::size_t w = 0; w < words; ++w) {
+    for (std::uint64_t b = bits[w]; b != 0; b &= b - 1) {
+      out.push_back(Lit::from_code(lo + static_cast<std::uint32_t>(
+                                            (w << 6) + std::countr_zero(b))));
+    }
+    bits[w] = 0;
+  }
+  return out;
+}
 
 }  // namespace
 
@@ -137,15 +176,26 @@ bool CdclSolver::add_clause_at_level0(const cnf::Clause& clause, bool learned,
                                       ClauseRef* new_ref) {
   assert(decision_level() == 0);
   if (new_ref != nullptr) *new_ref = kNoClause;
-  // Preprocess: sort/dedupe, detect tautology, apply level-0 facts.
-  std::vector<Lit> lits(clause.begin(), clause.end());
-  std::sort(lits.begin(), lits.end());
-  lits.erase(std::unique(lits.begin(), lits.end()), lits.end());
+  // Preprocess: sort/dedupe, detect tautology, apply level-0 facts. A
+  // strictly ascending clause (what to_subproblem() ships) is already
+  // sorted and duplicate-free, so it skips the copy and the sort.
+  std::span<const Lit> lits(clause);
+  if (std::adjacent_find(clause.begin(), clause.end(), [](Lit a, Lit b) {
+        return !(a < b);
+      }) != clause.end()) {
+    add_lits_.assign(clause.begin(), clause.end());
+    std::sort(add_lits_.begin(), add_lits_.end());
+    add_lits_.erase(std::unique(add_lits_.begin(), add_lits_.end()),
+                    add_lits_.end());
+    lits = add_lits_;
+  }
   for (std::size_t i = 0; i + 1 < lits.size(); ++i) {
     if (lits[i].var() == lits[i + 1].var()) return true;  // tautology
   }
-  std::vector<Lit> kept;
-  kept.reserve(lits.size());
+  // Unassigned literals first so the watched pair is sane, then the
+  // tainted-false ones, each group in ascending order.
+  std::vector<Lit>& kept = add_kept_;
+  kept.clear();
   for (const Lit l : lits) {
     if (l.var() > num_vars_) {
       // Grow the universe? Clauses beyond num_vars indicate generator or
@@ -154,27 +204,19 @@ bool CdclSolver::add_clause_at_level0(const cnf::Clause& clause, bool learned,
       assert(false && "literal beyond variable universe");
       continue;
     }
-    switch (value(l)) {
-      case LBool::kTrue:
-        return true;  // satisfied at level 0: prune (paper §3.1)
-      case LBool::kFalse:
-        // Keep tainted-false literals: dropping them would make clauses
-        // derived from this one depend on split assumptions invisibly.
-        if (tainted(l.var())) kept.push_back(l);
-        break;
-      case LBool::kUndef:
-        kept.push_back(l);
-        break;
+    const LBool v = value(l);
+    if (v == LBool::kTrue) return true;  // satisfied at level 0: prune (paper §3.1)
+    if (v == LBool::kUndef) kept.push_back(l);
+  }
+  const std::size_t num_open = kept.size();
+  if (num_open == 0) return false;  // all literals false => conflict
+  for (const Lit l : lits) {
+    // Keep tainted-false literals: dropping them would make clauses
+    // derived from this one depend on split assumptions invisibly.
+    if (l.var() <= num_vars_ && value(l) == LBool::kFalse && tainted(l.var())) {
+      kept.push_back(l);
     }
   }
-  // Partition: unassigned literals first so the watched pair is sane.
-  std::stable_partition(kept.begin(), kept.end(),
-                        [this](Lit l) { return value(l) == LBool::kUndef; });
-  const std::size_t num_open =
-      static_cast<std::size_t>(std::count_if(kept.begin(), kept.end(), [this](Lit l) {
-        return value(l) == LBool::kUndef;
-      }));
-  if (num_open == 0) return false;  // all literals false => conflict
   if (num_open == 1 && kept.size() == 1) {
     return enqueue_level0(kept[0], /*tainted=*/false);
   }
@@ -1302,16 +1344,16 @@ Subproblem CdclSolver::to_subproblem() const {
     }
     return false;
   };
+  std::vector<std::uint64_t> bits;
+  sp.clauses.reserve(arena_.num_problem() + arena_.num_learned());
   arena_.for_each([&](ClauseRef r) {
     if (arena_.learned(r) || satisfied_at_level0(r)) return;
-    const auto lits = arena_.lits(r);
-    sp.clauses.emplace_back(lits.begin(), lits.end());
+    sp.clauses.push_back(canonical_clause(arena_.lits(r), bits));
   });
   sp.num_problem_clauses = sp.clauses.size();
   arena_.for_each([&](ClauseRef r) {
     if (!arena_.learned(r) || satisfied_at_level0(r)) return;
-    const auto lits = arena_.lits(r);
-    sp.clauses.emplace_back(lits.begin(), lits.end());
+    sp.clauses.push_back(canonical_clause(arena_.lits(r), bits));
   });
   return sp;
 }
@@ -1335,11 +1377,11 @@ std::vector<SubproblemUnit> CdclSolver::level0_units() const {
 
 std::vector<cnf::Clause> CdclSolver::learned_clauses(std::size_t max_len) const {
   std::vector<cnf::Clause> out;
+  std::vector<std::uint64_t> bits;
   arena_.for_each([&](ClauseRef r) {
     if (!arena_.learned(r)) return;
     if (max_len != 0 && arena_.size(r) > max_len) return;
-    const auto lits = arena_.lits(r);
-    out.emplace_back(lits.begin(), lits.end());
+    out.push_back(canonical_clause(arena_.lits(r), bits));
   });
   return out;
 }

@@ -282,7 +282,9 @@ class CdclSolver {
 
   /// Current state as a subproblem (migration §3.4 / heavy checkpoint):
   /// level-0 units + full clause set. Levels above 0 are discarded (the
-  /// paper's checkpoints do the same).
+  /// paper's checkpoints do the same). Every clause comes out with
+  /// strictly ascending literal codes, the order the wire encoder and the
+  /// receiver's rebuild take without sorting.
   [[nodiscard]] Subproblem to_subproblem() const;
 
   // --- Clause sharing (paper §3.2) --------------------------------------
@@ -309,8 +311,8 @@ class CdclSolver {
   [[nodiscard]] std::vector<SubproblemUnit> level0_units() const;
 
   /// All live learned clauses with at most `max_len` literals
-  /// (max_len = 0 means no limit). Used by heavy checkpoints and by the
-  /// split payload.
+  /// (max_len = 0 means no limit), each with strictly ascending literal
+  /// codes. Used by heavy checkpoints.
   [[nodiscard]] std::vector<cnf::Clause> learned_clauses(
       std::size_t max_len = 0) const;
 
@@ -446,7 +448,9 @@ class CdclSolver {
   /// Add a clause at level 0 with standard preprocessing (dedupe,
   /// tautology skip, satisfied skip, untainted-false-literal drop).
   /// Returns false when the clause (with propagation pending) refutes
-  /// the subproblem.
+  /// the subproblem. Input with strictly ascending literal codes (what
+  /// to_subproblem() and learned_clauses() emit) skips the copy and the
+  /// sort; the stored clause is the same either way.
   /// `new_ref` (optional) receives the allocated clause ref, or kNoClause
   /// when the clause was pruned, became a unit, or conflicted.
   bool add_clause_at_level0(const cnf::Clause& clause, bool learned,
@@ -456,7 +460,9 @@ class CdclSolver {
   void reduce_db();
   void drop_all_learned();       ///< emergency memory escalation
   bool merge_imports();          ///< at level 0; false => UNSAT
-  bool simplify_at_level0();     ///< prune + strip; false => UNSAT
+  /// Drop clauses satisfied at level 0 (false literals stay put);
+  /// false => UNSAT.
+  bool simplify_at_level0();
   /// In-place arena compaction (order-preserving). Safe at any decision
   /// level: the remap rewrites both watch stores and the reason of every
   /// trail literal, and backtrack() clears reasons of unassigned
@@ -576,6 +582,11 @@ class CdclSolver {
     cnf::Var pivot;
   };
   std::vector<OtfJob> otf_jobs_;
+
+  // add_clause_at_level0() scratch: the sorted copy of unsorted input and
+  // the literals that survive level-0 facts.
+  std::vector<cnf::Lit> add_lits_;
+  std::vector<cnf::Lit> add_kept_;
 
   // Restart / reduce schedule.
   std::uint64_t conflicts_until_restart_ = 0;

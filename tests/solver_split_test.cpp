@@ -6,9 +6,12 @@
 //   * every clause exported through the share callback is implied by the
 //     ORIGINAL formula, even when learned under split assumptions;
 //   * importing shared clauses never changes a verdict;
-//   * subproblem serialization round-trips.
+//   * subproblem serialization round-trips;
+//   * shipped clauses come out canonical (strictly ascending codes), and
+//     the receiver rebuilds the same solver from any literal order.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <optional>
 #include <vector>
@@ -20,6 +23,7 @@
 #include "gen/xor_chains.hpp"
 #include "solver/brute_force.hpp"
 #include "solver/cdcl.hpp"
+#include "util/rng.hpp"
 
 namespace gridsat::solver {
 namespace {
@@ -322,6 +326,72 @@ TEST(MigrationTest, MigratedStateKeepsLearnedClauses) {
   const Subproblem snapshot = source.to_subproblem();
   EXPECT_GT(snapshot.clauses.size(), snapshot.num_problem_clauses)
       << "learned clauses should ride along in a migration";
+}
+
+bool strictly_ascending(const cnf::Clause& c) {
+  return std::adjacent_find(c.begin(), c.end(), [](Lit a, Lit b) {
+           return !(a < b);
+         }) == c.end();
+}
+
+bool all_strictly_ascending(const std::vector<cnf::Clause>& clauses) {
+  return std::all_of(clauses.begin(), clauses.end(), strictly_ascending);
+}
+
+/// Pigeonhole codes span at most one 64-bit word per literal in most
+/// clauses (the sender's bitmap pass); random 3-SAT over hundreds of
+/// variables mostly spans more (its std::sort fallback).
+std::vector<CnfFormula> ship_formulas() {
+  return {gen::pigeonhole_unsat(8), gen::random_ksat(200, 850, 3, 23)};
+}
+
+TEST(CanonicalShipTest, ShippedClausesHaveAscendingCodes) {
+  for (const CnfFormula& f : ship_formulas()) {
+    // Before any search the problem block is the formula, each clause
+    // sorted: the canonical copy keeps every literal.
+    CdclSolver solver(f);
+    std::vector<cnf::Clause> expected = f.clauses();
+    for (cnf::Clause& c : expected) std::sort(c.begin(), c.end());
+    EXPECT_EQ(solver.to_subproblem().clauses, expected);
+
+    (void)solver.solve(30'000);
+    const auto other = advance_and_split(solver, 2000);
+    ASSERT_TRUE(other.has_value());
+    EXPECT_GT(other->clauses.size(), other->num_problem_clauses);
+    EXPECT_TRUE(all_strictly_ascending(other->clauses));
+    EXPECT_TRUE(all_strictly_ascending(solver.to_subproblem().clauses));
+    const std::vector<cnf::Clause> learned = solver.learned_clauses();
+    EXPECT_FALSE(learned.empty());
+    EXPECT_TRUE(all_strictly_ascending(learned));
+  }
+}
+
+TEST(CanonicalShipTest, ShuffledShipRebuildsIdentically) {
+  // The receiver stores a canonical clause without sorting it. A copy of
+  // the same ship with every clause shuffled (and every fifth given a
+  // duplicate literal) takes the sorting path, and must rebuild the same
+  // solver: same search statistics and same state after a fixed budget.
+  util::Xoshiro256 rng(2003);
+  for (const CnfFormula& f : ship_formulas()) {
+    CdclSolver donor(f);
+    (void)donor.solve(30'000);
+    const auto shipped = advance_and_split(donor, 2000);
+    ASSERT_TRUE(shipped.has_value());
+    Subproblem shuffled = *shipped;
+    for (std::size_t i = 0; i < shuffled.clauses.size(); ++i) {
+      cnf::Clause& c = shuffled.clauses[i];
+      if (i % 5 == 0) c.push_back(c.front());
+      util::shuffle(c, rng);
+    }
+    CdclSolver canonical(*shipped);
+    CdclSolver rebuilt(shuffled);
+    EXPECT_EQ(canonical.solve(50'000), rebuilt.solve(50'000));
+    EXPECT_EQ(canonical.stats().conflicts, rebuilt.stats().conflicts);
+    EXPECT_EQ(canonical.stats().decisions, rebuilt.stats().decisions);
+    EXPECT_EQ(canonical.stats().propagations, rebuilt.stats().propagations);
+    EXPECT_EQ(canonical.stats().work, rebuilt.stats().work);
+    EXPECT_EQ(canonical.to_subproblem(), rebuilt.to_subproblem());
+  }
 }
 
 }  // namespace

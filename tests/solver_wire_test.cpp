@@ -1,10 +1,12 @@
 // Wire-format tests (DESIGN.md §4e): golden-bytes compatibility fixtures
-// for the v2 encoding, the wire_size() == serialize().size() property
-// and the trim_learned() budget bound over randomized payloads, delta
-// checkpoint chain restores, and the campaign-level base-ref caching /
-// renegotiation / incremental-checkpoint behaviours.
+// for the v2 encoding, the wire_size() == serialize().size() property,
+// sorted-vs-shuffled clause encoding and the trim_learned() budget bound
+// over randomized payloads, delta checkpoint chain restores, and the
+// campaign-level base-ref caching / renegotiation / incremental-
+// checkpoint behaviours.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <span>
 #include <string>
@@ -239,6 +241,26 @@ TEST(WirePropertyTest, BaseRefFormDropsOnlyTheProblemBlock) {
     const auto full_clauses = std::span<const cnf::Clause>(full.clauses);
     ref.rehydrate(full_clauses.subspan(0, full.num_problem_clauses));
     EXPECT_EQ(ref, full) << "iteration " << i;
+  }
+}
+
+TEST(WirePropertyTest, SortedAndShuffledClausesEncodeIdentically) {
+  // The encoder takes a sorted clause as is and sorts any other first; the
+  // two paths must emit the same bytes. Random literals repeat, so sorted
+  // clauses with duplicate codes (gap 0) are covered too.
+  util::Xoshiro256 rng(4242);
+  for (int i = 0; i < 200; ++i) {
+    solver::Subproblem sorted = random_subproblem(rng);
+    for (cnf::Clause& c : sorted.clauses) std::sort(c.begin(), c.end());
+    solver::Subproblem shuffled = sorted;
+    for (cnf::Clause& c : shuffled.clauses) util::shuffle(c, rng);
+    for (const auto mode :
+         {solver::WireMode::kFull, solver::WireMode::kBaseRef}) {
+      EXPECT_EQ(sorted.to_bytes(mode), shuffled.to_bytes(mode))
+          << "mode " << static_cast<int>(mode) << " iteration " << i;
+      EXPECT_EQ(sorted.wire_size(mode), shuffled.wire_size(mode))
+          << "mode " << static_cast<int>(mode) << " iteration " << i;
+    }
   }
 }
 
