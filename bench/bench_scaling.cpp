@@ -15,14 +15,9 @@
 //    work), so it holds even on a single physical core.
 //  * --mode=sim: the original virtual-time campaign sweep over growing
 //    prefixes of the GrADS-34 testbed.
-//  * --mode=split|portfolio|hybrid: same thread sweep pinned to one
-//    search strategy (guiding-path splitting, diversified portfolio
-//    racing, or split+race hybrid), emitting "mode_compare" JSON rows
-//    so the strategies can be plotted against each other.
 //
 //   ./bench_scaling
 //   ./bench_scaling --quick --json=BENCH_parallel.json
-//   ./bench_scaling --mode=portfolio --quick --json=BENCH_parallel.json --append
 //   ./bench_scaling --quick --trace=trace.json --metrics-every=50
 //   ./bench_scaling --mode=sim --instance=rand_net50-60-5.cnf
 #include <atomic>
@@ -269,99 +264,6 @@ int run_threads_mode(const util::Flags& flags) {
   return 0;
 }
 
-/// --mode=split|portfolio|hybrid: the same thread sweep as threads mode,
-/// but pinned to one search strategy, emitting "mode_compare" rows so
-/// the three strategies land side by side in BENCH_parallel.json
-/// (ROADMAP.md "mode_compare" convention: filter on "mode" to plot the
-/// portfolio/hybrid columns against the guiding-path baseline).
-int run_mode_compare(const util::Flags& flags, solver::ParallelMode mode) {
-  const bool quick = flags.boolean("quick");
-  std::string instances = flags.str("instances");
-  if (instances.empty()) {
-    // Two families by default: XOR-parity (algorithmic splitting gains)
-    // and pigeonhole (symmetric, where diversified racing shines).
-    instances = quick ? "urquhart-14,pigeonhole-8"
-                      : "urquhart-16,pigeonhole-9";
-  }
-  const int reps = quick ? 1 : std::max(1, static_cast<int>(flags.i64("reps")));
-
-  std::string json_rows;
-  std::printf("Strategy comparison: mode=%s (reps=%d, median wall)\n\n",
-              solver::to_string(mode), reps);
-  std::printf("%-14s %-8s %-8s %12s %11s %9s %11s %9s\n", "instance",
-              "threads", "verdict", "wall_ms", "work", "splits", "cancelled",
-              "imported");
-  std::printf("%s\n", std::string(90, '-').c_str());
-
-  for (const auto& name : util::split(instances, ',')) {
-    cnf::CnfFormula f;
-    try {
-      f = bench::resolve_instance(name);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "skipping %s: %s\n", name.c_str(), e.what());
-      continue;
-    }
-    for (const auto& token : util::split(flags.str("threads"), ',')) {
-      long long threads = 0;
-      if (!util::parse_i64(token, threads) || threads < 1) continue;
-      solver::ParallelOptions options;
-      options.mode = mode;
-      options.race_width = static_cast<std::size_t>(
-          std::max<long long>(1, flags.i64("race-width")));
-      options.num_threads = static_cast<std::size_t>(threads);
-      options.share_max_len = static_cast<std::size_t>(flags.i64("share-len"));
-      options.share_max_lbd = static_cast<std::uint32_t>(flags.i64("share-lbd"));
-      if (flags.i64("slice") > 0) {
-        options.slice_work = static_cast<std::uint64_t>(flags.i64("slice"));
-      }
-      const bench::ParallelRun run =
-          bench::run_parallel_median(f, options, reps);
-      const solver::ParallelStats& s = run.result.stats;
-      std::printf("%-14s %-8lld %-8s %12.1f %11llu %9llu %11llu %9llu\n",
-                  name.c_str(), threads, to_string(run.result.status),
-                  run.wall_ms,
-                  static_cast<unsigned long long>(s.total_work),
-                  static_cast<unsigned long long>(s.splits),
-                  static_cast<unsigned long long>(s.races_cancelled),
-                  static_cast<unsigned long long>(s.clauses_imported));
-      std::fflush(stdout);
-      util::JsonWriter json;
-      json.begin_object()
-          .field("bench", "mode_compare")
-          .field("mode", solver::to_string(mode))
-          .field("instance", name)
-          .field("threads", static_cast<std::int64_t>(threads))
-          .field("race_width",
-                 static_cast<std::int64_t>(options.race_width))
-          .field("reps", static_cast<std::int64_t>(reps))
-          .field("status", solver::to_string(run.result.status))
-          .field("wall_ms", run.wall_ms)
-          .field("total_work", s.total_work)
-          .field("splits", s.splits)
-          .field("races_cancelled", s.races_cancelled)
-          .field("clauses_published", s.clauses_published)
-          .field("clauses_imported", s.clauses_imported)
-          .end_object();
-      json_rows += json.str();
-      json_rows += '\n';
-    }
-  }
-
-  const std::string& path = flags.str("json");
-  if (!path.empty()) {
-    std::FILE* out =
-        std::fopen(path.c_str(), flags.boolean("append") ? "a" : "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", path.c_str());
-      return 1;
-    }
-    std::fputs(json_rows.c_str(), out);
-    std::fclose(out);
-    std::printf("\nwrote %s\n", path.c_str());
-  }
-  return 0;
-}
-
 int run_sim_mode(const util::Flags& flags) {
   const auto& row = gen::suite::by_name(flags.str("instance"));
   const cnf::CnfFormula formula = row.make();
@@ -434,10 +336,7 @@ int run_sim_mode(const util::Flags& flags) {
 
 int main(int argc, char** argv) {
   util::Flags flags;
-  flags.define_str("mode", "threads",
-                   "threads | sim | split | portfolio | hybrid");
-  flags.define_i64("race-width", 2,
-                   "hybrid: diversified solvers racing each subproblem");
+  flags.define_str("mode", "threads", "threads | sim");
   // threads mode
   flags.define_str("instances", "",
                    "comma list for threads mode (default urquhart pair)");
@@ -468,10 +367,11 @@ int main(int argc, char** argv) {
     std::fputs(flags.usage("bench_scaling").c_str(), stderr);
     return 2;
   }
-  if (flags.str("mode") == "sim") return run_sim_mode(flags);
-  if (solver::ParallelMode parallel_mode;
-      solver::parse_parallel_mode(flags.str("mode"), parallel_mode)) {
-    return run_mode_compare(flags, parallel_mode);
+  const std::string& mode = flags.str("mode");
+  if (mode == "sim") return run_sim_mode(flags);
+  if (mode != "threads") {
+    std::fprintf(stderr, "unknown --mode=%s (threads | sim)\n", mode.c_str());
+    return 2;
   }
   return run_threads_mode(flags);
 }

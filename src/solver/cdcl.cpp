@@ -1152,7 +1152,7 @@ SolveStatus CdclSolver::solve(std::uint64_t work_budget) {
   for (;;) {
     if (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed)) {
       // Cooperative cancellation, checked ahead of every propagate-to-
-      // fixpoint batch: a losing racer overshoots the verdict by at most
+      // fixpoint batch: a cancelled solver overshoots the stop by at most
       // one batch instead of the rest of its slice. Resumable — clearing
       // the flag and calling solve() again continues the search.
       return status_ = SolveStatus::kUnknown;

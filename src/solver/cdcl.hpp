@@ -370,9 +370,9 @@ class CdclSolver {
   /// Attach an external cancellation flag (not owned; may be null to
   /// detach). solve() polls it at the top of every propagate-analyze
   /// round and returns kUnknown — resumably, with all state intact —
-  /// within one propagation batch of the flag going true. This is how a
-  /// losing racer is stopped promptly instead of burning the rest of its
-  /// work slice (DESIGN.md §4i cancellation protocol).
+  /// within one propagation batch of the flag going true. This is how
+  /// ParallelSolver stops its busy workers once one of them ends the solve,
+  /// instead of letting them burn the rest of their work slice.
   void set_cancel_flag(const std::atomic<bool>* flag) noexcept {
     cancel_ = flag;
   }

@@ -16,19 +16,6 @@ const char* to_string(ParallelMode mode) noexcept {
   return "?";
 }
 
-bool parse_parallel_mode(const std::string& name, ParallelMode& out) {
-  if (name == "split") {
-    out = ParallelMode::kSplit;
-  } else if (name == "portfolio") {
-    out = ParallelMode::kPortfolio;
-  } else if (name == "hybrid") {
-    out = ParallelMode::kHybrid;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 std::uint64_t decorrelated_seed(std::uint64_t base_seed,
                                 std::uint64_t slot) noexcept {
   const std::uint64_t mixed_base = util::SplitMix64(base_seed).next();

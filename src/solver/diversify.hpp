@@ -5,14 +5,13 @@
 // subproblems themselves. HordeSat-style portfolios take the opposite
 // bet — many differently-configured solvers race the *same* formula and
 // exchange clauses — and win on instance classes where one heuristic
-// stalls. This header names the three modes the thread-parallel solver
-// and the simulated campaign support, and derives the per-worker config
-// variations (restart shape, polarity, phase memory, random walk, VSIDS
-// half-life, seed) that make a race worth running.
+// stalls. This header names the three modes the simulated campaign
+// supports (the thread-parallel solver only splits), and derives the
+// per-client config variations (restart shape, polarity, phase memory,
+// random walk, VSIDS half-life, seed) that make a race worth running.
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "solver/cdcl.hpp"
 
@@ -21,20 +20,16 @@ namespace gridsat::solver {
 enum class ParallelMode : std::uint8_t {
   /// Guiding-path splitting (the paper's algorithm; the default).
   kSplit,
-  /// Every worker races the whole formula under a diversified config;
+  /// Every client races the whole formula under a diversified config;
   /// first verdict wins. No splitting.
   kPortfolio,
   /// Splitting as in kSplit, but each shipped subproblem is raced by k
-  /// diversified solvers; the first verdict wins and the losers are
-  /// cancelled at their next cooperation point.
+  /// diversified clients; the first verdict wins and the losers are
+  /// cancelled.
   kHybrid,
 };
 
 const char* to_string(ParallelMode mode) noexcept;
-
-/// Parse "split" | "portfolio" | "hybrid" (bench/CLI flag spelling).
-/// Returns false (out untouched) on anything else.
-bool parse_parallel_mode(const std::string& name, ParallelMode& out);
 
 /// Statistically independent seed for (base_seed, slot): two chained
 /// splitmix64 stages. A plain `base + slot` collides across adjacent
@@ -44,7 +39,7 @@ bool parse_parallel_mode(const std::string& name, ParallelMode& out);
 [[nodiscard]] std::uint64_t decorrelated_seed(std::uint64_t base_seed,
                                               std::uint64_t slot) noexcept;
 
-/// Derive a racing worker's config from `base`. `profile_slot` picks the
+/// Derive a racing client's config from `base`. `profile_slot` picks the
 /// heuristic variation: slot 0 keeps the base heuristics (the reference
 /// config every race includes), slots >= 1 cycle a fixed table of
 /// restart-policy / polarity / phase-saving / random-walk / VSIDS-decay

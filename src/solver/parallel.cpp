@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "solver/diversify.hpp"
+
 namespace gridsat::solver {
 
 ParallelSolver::ParallelSolver(const cnf::CnfFormula& formula,
@@ -32,8 +34,6 @@ ParallelResult ParallelSolver::solve() {
   imported_ctr_ = &reg.counter("parallel.clauses_imported");
   imported_used_ctr_ = &reg.counter("parallel.clauses_imported_used");
   work_ctr_ = &reg.counter("parallel.total_work");
-  cancelled_ctr_ = &reg.counter("parallel.races_cancelled");
-  cancelled_base_ = cancelled_ctr_->get();
   splits_base_ = splits_ctr_->get();
   refuted_base_ = refuted_ctr_->get();
   published_base_ = published_ctr_->get();
@@ -61,26 +61,6 @@ ParallelResult ParallelSolver::solve() {
             options_.tracer->register_worker("worker-" + std::to_string(i)));
       }
       pool_->set_tracer(options_.tracer, trace_ids_);
-    }
-  }
-
-  // Racing cohorts. kPortfolio is one cohort covering every worker (a
-  // degenerate hybrid whose race width is the thread count); kHybrid
-  // packs race_width consecutive workers per cohort. kSplit needs none.
-  groups_.clear();
-  race_width_ = 1;
-  if (options_.mode == ParallelMode::kPortfolio) {
-    race_width_ = options_.num_threads;
-  } else if (options_.mode == ParallelMode::kHybrid) {
-    race_width_ = std::clamp<std::size_t>(options_.race_width, 1,
-                                          options_.num_threads);
-  }
-  if (options_.mode != ParallelMode::kSplit) {
-    const std::size_t num_groups =
-        (options_.num_threads + race_width_ - 1) / race_width_;
-    groups_.reserve(num_groups);
-    for (std::size_t g = 0; g < num_groups; ++g) {
-      groups_.push_back(std::make_unique<RaceGroup>());
     }
   }
 
@@ -121,7 +101,6 @@ ParallelResult ParallelSolver::solve() {
   result_.stats.clauses_imported_used =
       imported_used_ctr_->get() - imported_used_base_;
   result_.stats.shard_lock_contention = pool_->lock_contention();
-  result_.stats.races_cancelled = cancelled_ctr_->get() - cancelled_base_;
   result_.stats.total_work = work_ctr_->get() - work_base_;
   // Freeze the callback gauges: their closures read pool_, which does not
   // outlive this solve for an external registry's purposes.
@@ -199,19 +178,6 @@ std::size_t ParallelSolver::publish_clauses(std::size_t worker_index,
 }
 
 void ParallelSolver::worker_loop(std::size_t worker_index) {
-  if (options_.mode != ParallelMode::kSplit) {
-    RaceGroup& group = *groups_[worker_index / race_width_];
-    if (worker_index % race_width_ == 0) {
-      const std::size_t group_start =
-          (worker_index / race_width_) * race_width_;
-      const std::size_t group_size =
-          std::min(race_width_, options_.num_threads - group_start);
-      race_leader_loop(worker_index, group, group_size);
-    } else {
-      race_member_loop(worker_index, group);
-    }
-    return;
-  }
   Subproblem sp;
   while (pop_work(sp)) {
     run_subproblem(worker_index, sp);
@@ -227,197 +193,13 @@ void ParallelSolver::worker_loop(std::size_t worker_index) {
   queue_cv_.notify_all();
 }
 
-void ParallelSolver::race_leader_loop(std::size_t worker_index,
-                                      RaceGroup& group,
-                                      std::size_t group_size) {
-  Subproblem sp;
-  while (pop_work(sp)) {
-    auto shared = std::make_shared<const Subproblem>(std::move(sp));
-    {
-      std::lock_guard<std::mutex> lock(group.mutex);
-      group.sp = shared;
-      ++group.round;
-      group.racing = group_size;
-      group.verdict = SolveStatus::kUnknown;
-      group.cancel.store(false, std::memory_order_release);
-    }
-    group.cv.notify_all();
-    race_round(worker_index, group, *shared);
-    {
-      // The round ends when every racer is out of it; only then may the
-      // leader recycle the group for the next subproblem (a member still
-      // racing must not observe a new round's cancel flag).
-      std::unique_lock<std::mutex> lock(group.mutex);
-      --group.racing;
-      group.cv.notify_all();
-      group.cv.wait(lock, [&group] { return group.racing == 0; });
-      group.sp.reset();
-    }
-    {
-      std::lock_guard<std::mutex> lock(queue_mutex_);
-      --active_workers_;
-      if (queue_.empty() && active_workers_ == 0) {
-        queue_cv_.notify_all();
-      }
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(group.mutex);
-    group.shutdown = true;
-  }
-  group.cv.notify_all();
-  queue_cv_.notify_all();
-}
-
-void ParallelSolver::race_member_loop(std::size_t worker_index,
-                                      RaceGroup& group) {
-  std::uint64_t seen_round = 0;
-  for (;;) {
-    std::shared_ptr<const Subproblem> sp;
-    {
-      std::unique_lock<std::mutex> lock(group.mutex);
-      group.cv.wait(lock, [&group, seen_round] {
-        return group.shutdown || group.round != seen_round;
-      });
-      if (group.round == seen_round) return;  // shutdown, no fresh round
-      seen_round = group.round;
-      sp = group.sp;
-    }
-    race_round(worker_index, group, *sp);
-    {
-      std::lock_guard<std::mutex> lock(group.mutex);
-      --group.racing;
-    }
-    group.cv.notify_all();
-  }
-}
-
-bool ParallelSolver::claim_verdict(RaceGroup& group, SolveStatus verdict) {
-  std::lock_guard<std::mutex> lock(group.mutex);
-  if (group.verdict != SolveStatus::kUnknown) return false;
-  group.verdict = verdict;
-  // Losers observe this inside CdclSolver's propagation loop and return
-  // kUnknown out of their current slice almost immediately.
-  group.cancel.store(true, std::memory_order_release);
-  return true;
-}
-
 void ParallelSolver::request_global_stop() {
   stop_.store(true);
-  for (auto& group : groups_) {
-    group->cancel.store(true, std::memory_order_release);
-    group->cv.notify_all();
-  }
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     finished_ = true;
   }
   queue_cv_.notify_all();
-}
-
-void ParallelSolver::race_round(std::size_t worker_index, RaceGroup& group,
-                                const Subproblem& sp) {
-  // Diversify by position within the cohort: slot 0 keeps the reference
-  // heuristics, slots >= 1 cycle the profile table; every racer gets a
-  // decorrelated seed either way.
-  SolverConfig config = diversified_config(
-      options_.solver, worker_index % race_width_, worker_index);
-  CdclSolver solver(sp, config);
-  solver.set_tracer(options_.tracer, trace_id(worker_index));
-  solver.set_cancel_flag(&group.cancel);
-  if (proof_builder_) solver.set_proof_sink(proof_builder_.get());
-  std::vector<SharedClause> exports;
-  const std::size_t max_len = options_.share_max_len;
-  const std::uint32_t max_lbd = options_.share_max_lbd;
-  solver.set_share_callback(
-      [&exports, max_len, max_lbd](const cnf::Clause& c, std::uint32_t lbd) {
-        if ((max_len > 0 && c.size() <= max_len) ||
-            (max_lbd > 0 && lbd <= max_lbd)) {
-          exports.push_back(SharedClause{c, lbd});
-        }
-      });
-  SharedClausePool::Cursor cursor = pool_->make_cursor();
-  pool_->skip_to_now(cursor);
-  std::vector<SharedClause> incoming;
-  const bool leader = worker_index % race_width_ == 0;
-
-  for (;;) {
-    if (stop_.load()) return;
-    if (group.cancel.load(std::memory_order_acquire)) {
-      // A co-racer claimed the verdict; this racer's exported clauses
-      // stay in the pool (and the proof log) — they are valid for the
-      // original formula regardless of who won.
-      cancelled_ctr_->add(1);
-      return;
-    }
-    const std::uint64_t before = solver.stats().work;
-    const std::uint64_t used_before = solver.stats().imported_used;
-    const SolveStatus status = solver.solve(options_.slice_work);
-    work_ctr_->add(solver.stats().work - before);
-    imported_used_ctr_->add(solver.stats().imported_used - used_before);
-    publish_clauses(worker_index, std::move(exports));
-    exports.clear();
-    switch (status) {
-      case SolveStatus::kSat: {
-        if (!claim_verdict(group, SolveStatus::kSat)) {
-          cancelled_ctr_->add(1);  // raced to a verdict but lost the claim
-          return;
-        }
-        {
-          std::lock_guard<std::mutex> lock(result_mutex_);
-          if (result_.status != SolveStatus::kSat) {
-            cnf::Assignment model = solver.model();
-            if (cnf::is_model(formula_, model)) {
-              result_.status = SolveStatus::kSat;
-              result_.model = std::move(model);
-            }
-          }
-        }
-        request_global_stop();
-        return;
-      }
-      case SolveStatus::kUnsat:
-        if (!claim_verdict(group, SolveStatus::kUnsat)) {
-          cancelled_ctr_->add(1);
-          return;
-        }
-        refuted_ctr_->add(1);
-        if (proof_builder_) proof_builder_->add_leaf(solver.assumptions());
-        return;
-      case SolveStatus::kMemOut: {
-        if (!claim_verdict(group, SolveStatus::kMemOut)) {
-          cancelled_ctr_->add(1);
-          return;
-        }
-        {
-          std::lock_guard<std::mutex> lock(result_mutex_);
-          result_.status = SolveStatus::kMemOut;
-        }
-        request_global_stop();
-        return;
-      }
-      case SolveStatus::kUnknown:
-        break;  // cancelled mid-slice, or just cooperating
-    }
-    incoming.clear();
-    if (pool_->collect(worker_index, cursor, incoming) > 0) {
-      std::vector<cnf::Clause> fresh;
-      fresh.reserve(incoming.size());
-      for (SharedClause& sc : incoming) fresh.push_back(std::move(sc.lits));
-      imported_ctr_->add(fresh.size());
-      solver.import_clauses(std::move(fresh));
-    }
-    // Only the cohort leader splits (kHybrid with multiple cohorts; in
-    // kPortfolio nobody is ever hungry, so no splits happen): a member's
-    // branch would duplicate work its own cohort is already racing.
-    if (leader && hungry_workers_.load() > 0 && solver.can_split()) {
-      push_work(solver.split());
-      splits_ctr_->add(1);
-      obs::trace_event(options_.tracer, trace_id(worker_index),
-                       obs::EventKind::kSplit,
-                       splits_ctr_->get() - splits_base_);
-    }
-  }
 }
 
 void ParallelSolver::run_subproblem(std::size_t worker_index,
@@ -461,20 +243,17 @@ void ParallelSolver::run_subproblem(std::size_t worker_index,
     exports.clear();
     switch (status) {
       case SolveStatus::kSat: {
-        std::lock_guard<std::mutex> lock(result_mutex_);
-        if (result_.status != SolveStatus::kSat) {
-          cnf::Assignment model = solver.model();
-          if (cnf::is_model(formula_, model)) {
-            result_.status = SolveStatus::kSat;
-            result_.model = std::move(model);
+        {
+          std::lock_guard<std::mutex> lock(result_mutex_);
+          if (result_.status != SolveStatus::kSat) {
+            cnf::Assignment model = solver.model();
+            if (cnf::is_model(formula_, model)) {
+              result_.status = SolveStatus::kSat;
+              result_.model = std::move(model);
+            }
           }
         }
-        stop_.store(true);
-        {
-          std::lock_guard<std::mutex> qlock(queue_mutex_);
-          finished_ = true;
-        }
-        queue_cv_.notify_all();
+        request_global_stop();
         return;
       }
       case SolveStatus::kUnsat:
@@ -482,16 +261,14 @@ void ParallelSolver::run_subproblem(std::size_t worker_index,
         if (proof_builder_) proof_builder_->add_leaf(solver.assumptions());
         return;
       case SolveStatus::kMemOut: {
-        // Should not happen without a configured limit; treat the branch
-        // as failed by requeueing it for a retry without the limit.
-        std::lock_guard<std::mutex> lock(result_mutex_);
-        result_.status = SolveStatus::kMemOut;
-        stop_.store(true);
+        // Only reachable under options_.solver.memory_limit_bytes. A
+        // branch that cannot be searched leaves the formula undecided, so
+        // the whole solve ends with kMemOut.
         {
-          std::lock_guard<std::mutex> qlock(queue_mutex_);
-          finished_ = true;
+          std::lock_guard<std::mutex> lock(result_mutex_);
+          result_.status = SolveStatus::kMemOut;
         }
-        queue_cv_.notify_all();
+        request_global_stop();
         return;
       }
       case SolveStatus::kUnknown:

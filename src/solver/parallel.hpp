@@ -19,6 +19,10 @@
 // SAT anywhere wins; UNSAT everywhere (queue empty, all workers idle)
 // refutes. See DESIGN.md §4b for the exchange microarchitecture.
 //
+// Splitting is the only strategy here: every worker runs the same loop.
+// Racing diversified solvers on one subproblem (portfolio / hybrid) is a
+// campaign-level mode only (GridSatConfig::parallel_mode, DESIGN.md §4i).
+//
 // Verdicts are deterministic; timings and the discovered model are not
 // (thread interleaving picks the branch that wins).
 #pragma once
@@ -36,7 +40,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "solver/cdcl.hpp"
-#include "solver/diversify.hpp"
 #include "solver/sharing.hpp"
 #include "solver/subproblem.hpp"
 
@@ -45,15 +48,6 @@ namespace gridsat::solver {
 struct ParallelOptions {
   /// 0 = one per hardware thread.
   std::size_t num_threads = 0;
-  /// How workers cover the search space (solver/diversify.hpp): kSplit
-  /// is the paper's guiding-path splitting; kPortfolio races every
-  /// worker on the whole formula under diversified configs; kHybrid
-  /// splits as usual but races each subproblem with race_width
-  /// diversified solvers, cancelling the losers at the first verdict.
-  ParallelMode mode = ParallelMode::kSplit;
-  /// kHybrid: diversified solvers racing each subproblem (clamped to
-  /// [1, num_threads]). Ignored by kSplit; kPortfolio races all workers.
-  std::size_t race_width = 2;
   /// Share filter: a learned clause is exported when
   ///   (share_max_len > 0 && length <= share_max_len) ||
   ///   (share_max_lbd > 0 && lbd <= share_max_lbd).
@@ -104,9 +98,6 @@ struct ParallelStats {
   /// Times a publisher or importer found a shard mutex already held —
   /// the residual serialization of the exchange path.
   std::uint64_t shard_lock_contention = 0;
-  /// Race rounds a worker abandoned because a co-racer claimed the
-  /// verdict first (kPortfolio/kHybrid only).
-  std::uint64_t races_cancelled = 0;
   std::uint64_t total_work = 0;
 };
 
@@ -134,36 +125,11 @@ class ParallelSolver {
   ParallelResult solve();
 
  private:
-  /// One racing cohort (kPortfolio: all workers; kHybrid: race_width
-  /// consecutive workers). The leader pops subproblems and publishes
-  /// them as rounds; members wait for rounds and race them. The first
-  /// racer to reach a verdict claims it under the group mutex and trips
-  /// `cancel`, which every co-racer's solver polls inside its
-  /// propagation loop (CdclSolver::set_cancel_flag).
-  struct RaceGroup {
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::shared_ptr<const Subproblem> sp;  ///< current round's payload
-    std::uint64_t round = 0;
-    std::size_t racing = 0;  ///< racers still inside the current round
-    bool shutdown = false;
-    SolveStatus verdict = SolveStatus::kUnknown;
-    std::atomic<bool> cancel{false};
-  };
-
   void worker_loop(std::size_t worker_index);
   void run_subproblem(std::size_t worker_index, const Subproblem& sp);
-
-  // Racing modes (kPortfolio / kHybrid).
-  void race_leader_loop(std::size_t worker_index, RaceGroup& group,
-                        std::size_t group_size);
-  void race_member_loop(std::size_t worker_index, RaceGroup& group);
-  void race_round(std::size_t worker_index, RaceGroup& group,
-                  const Subproblem& sp);
-  /// First claim wins; trips group.cancel either way it returns.
-  bool claim_verdict(RaceGroup& group, SolveStatus verdict);
-  /// SAT / MemOut anywhere ends the whole solve: stop every group and
-  /// wake every waiter.
+  /// SAT / MemOut anywhere ends the whole solve: trip stop_ (which every
+  /// worker's solver polls inside its propagation loop) and wake every
+  /// waiter.
   void request_global_stop();
 
   // Work queue.
@@ -200,12 +166,6 @@ class ParallelSolver {
   std::atomic<bool> stop_{false};
   std::atomic<std::size_t> hungry_workers_{0};
 
-  /// Racing cohorts (empty in kSplit mode). Group g covers workers
-  /// [g * race_width_, min((g + 1) * race_width_, num_threads)); the
-  /// first worker of each group is its leader.
-  std::vector<std::unique_ptr<RaceGroup>> groups_;
-  std::size_t race_width_ = 1;
-
   // Metrics live in a registry (options_.metrics, or a private one) so an
   // external sampler can watch a solve in flight. The handles below are
   // resolved once per solve(); `*_base_` holds each counter's value at
@@ -219,7 +179,6 @@ class ParallelSolver {
   obs::Counter* imported_ctr_ = nullptr;
   obs::Counter* imported_used_ctr_ = nullptr;
   obs::Counter* work_ctr_ = nullptr;
-  obs::Counter* cancelled_ctr_ = nullptr;
   std::uint64_t splits_base_ = 0;
   std::uint64_t refuted_base_ = 0;
   std::uint64_t published_base_ = 0;
@@ -227,7 +186,6 @@ class ParallelSolver {
   std::uint64_t imported_base_ = 0;
   std::uint64_t imported_used_base_ = 0;
   std::uint64_t work_base_ = 0;
-  std::uint64_t cancelled_base_ = 0;
 
   /// worker index -> tracer worker id (empty when no tracer is attached).
   std::vector<std::uint32_t> trace_ids_;

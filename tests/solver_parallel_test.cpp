@@ -1,6 +1,7 @@
 // Thread-parallel solver tests: verdict agreement with brute force /
 // sequential CDCL across thread counts, model validity, split/share
-// bookkeeping, and stress with many small subproblems.
+// bookkeeping, memory-out shutdown, and stress with many small
+// subproblems.
 #include <gtest/gtest.h>
 
 #include "gen/pigeonhole.hpp"
@@ -94,6 +95,22 @@ TEST(ParallelSolverTest, RepeatedRunsAgreeOnVerdict) {
               truth ? SolveStatus::kSat : SolveStatus::kUnsat)
         << "run " << run;
   }
+}
+
+TEST(ParallelSolverTest, MemOutStopsEveryWorker) {
+  // The solver config that dies on its first DB overflow (see
+  // MemorySemanticsTest.NoSqueezeDiesOnFirstOverflow): the first worker to
+  // overflow must end the whole solve, waking the idle workers and
+  // cancelling the busy ones, so solve() returns kMemOut and joins.
+  const CnfFormula f = gen::pigeonhole_unsat(8);
+  ParallelOptions options = options_with(4, 2'000);
+  options.solver.reduce_base = 1u << 30;
+  options.solver.memory_limit_bytes = 64 * 1024;
+  options.solver.allow_memory_squeeze = false;
+  ParallelSolver solver(f, options);
+  const ParallelResult result = solver.solve();
+  EXPECT_EQ(result.status, SolveStatus::kMemOut);
+  EXPECT_EQ(result.stats.threads, 4u);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
-// Portfolio / hybrid racing tests: seed decorrelation (the old
+// Tests for the pieces racing is built from: seed decorrelation (the old
 // `seed + worker_index` scheme made adjacent base seeds share workers),
-// cancellation latency through the propagation-loop flag, diversified
-// restart/polarity heuristics vs brute force, and full ParallelSolver
-// races with proof certification.
+// cancellation latency through the propagation-loop flag, and diversified
+// restart/polarity heuristics vs brute force. Racing itself is a campaign
+// mode only; tests/core_race_test.cpp covers it.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,10 +11,8 @@
 
 #include "gen/pigeonhole.hpp"
 #include "gen/random_ksat.hpp"
-#include "gen/xor_chains.hpp"
 #include "solver/brute_force.hpp"
 #include "solver/diversify.hpp"
-#include "solver/parallel.hpp"
 
 namespace gridsat::solver {
 namespace {
@@ -169,133 +167,6 @@ TEST_P(HeuristicAgreement, EveryProfileMatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Profiles, HeuristicAgreement,
                          testing::Combine(testing::Range(0, 9),
                                           testing::Range(0, 3)));
-
-// ----------------------------------------------------- parallel racing
-
-ParallelOptions race_options(ParallelMode mode, std::size_t threads,
-                             std::size_t race_width = 2) {
-  ParallelOptions options;
-  options.mode = mode;
-  options.num_threads = threads;
-  options.race_width = race_width;
-  options.slice_work = 20'000;
-  return options;
-}
-
-class RaceAgreement
-    : public testing::TestWithParam<std::tuple<ParallelMode, int, int>> {};
-
-TEST_P(RaceAgreement, MatchesBruteForce) {
-  const auto [mode, threads, seed] = GetParam();
-  const CnfFormula f = gen::random_ksat(
-      14, 59, 3, static_cast<std::uint64_t>(seed) * 149 + 17);
-  const bool truth = brute_force_solve(f).has_value();
-  ParallelSolver solver(
-      f, race_options(mode, static_cast<std::size_t>(threads)));
-  const ParallelResult result = solver.solve();
-  ASSERT_NE(result.status, SolveStatus::kUnknown);
-  EXPECT_EQ(result.status, truth ? SolveStatus::kSat : SolveStatus::kUnsat)
-      << to_string(mode) << " threads " << threads << " seed " << seed;
-  if (result.status == SolveStatus::kSat) {
-    EXPECT_TRUE(is_model(f, result.model));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, RaceAgreement,
-    testing::Combine(testing::Values(ParallelMode::kPortfolio,
-                                     ParallelMode::kHybrid),
-                     testing::Values(1, 2, 4), testing::Range(0, 6)));
-
-TEST(RaceTest, PortfolioUnsatCancelsExactlyTheLosers) {
-  // One cohort of 4 racers on one (root) round: the winner claims, the
-  // other three must be cancelled — no more, no fewer.
-  const CnfFormula f = gen::urquhart_like(12, 3);
-  ParallelSolver solver(f, race_options(ParallelMode::kPortfolio, 4));
-  const ParallelResult result = solver.solve();
-  EXPECT_EQ(result.status, SolveStatus::kUnsat);
-  EXPECT_EQ(result.stats.races_cancelled, 3u);
-  EXPECT_EQ(result.stats.subproblems_refuted, 1u);
-  EXPECT_EQ(result.stats.splits, 0u);  // portfolio never splits
-}
-
-TEST(RaceTest, HybridSplitsAndRaces) {
-  const CnfFormula f = gen::pigeonhole_unsat(8);
-  ParallelSolver solver(f, race_options(ParallelMode::kHybrid, 4, 2));
-  const ParallelResult result = solver.solve();
-  EXPECT_EQ(result.status, SolveStatus::kUnsat);
-  EXPECT_GT(result.stats.splits, 0u);
-  EXPECT_GT(result.stats.subproblems_refuted, 1u);
-}
-
-TEST(RaceTest, RepeatedRaceRunsAgreeOnVerdict) {
-  const CnfFormula f = gen::random_ksat(16, 70, 3, 321);
-  const bool truth = brute_force_solve(f).has_value();
-  for (const ParallelMode mode :
-       {ParallelMode::kPortfolio, ParallelMode::kHybrid}) {
-    for (int run = 0; run < 3; ++run) {
-      ParallelSolver solver(f, race_options(mode, 4));
-      EXPECT_EQ(solver.solve().status,
-                truth ? SolveStatus::kSat : SolveStatus::kUnsat)
-          << to_string(mode) << " run " << run;
-    }
-  }
-}
-
-TEST(RaceTest, PortfolioUnsatProofCertifies) {
-  if (!kProofCompiledIn) GTEST_SKIP() << "built with GRIDSAT_PROOF=OFF";
-  const CnfFormula f = gen::pigeonhole_unsat(7);
-  ParallelOptions options = race_options(ParallelMode::kPortfolio, 4);
-  options.solver.log_proof = true;
-  ParallelSolver solver(f, options);
-  const ParallelResult result = solver.solve();
-  ASSERT_EQ(result.status, SolveStatus::kUnsat);
-  ASSERT_TRUE(result.proof != nullptr);
-  ASSERT_TRUE(result.proof_stitched) << result.proof_error;
-  const ProofCheckResult check = certify(f, *result.proof);
-  EXPECT_TRUE(check.valid) << check.message << " at step " << check.failed_step;
-}
-
-TEST(RaceTest, HybridUnsatProofCertifies) {
-  if (!kProofCompiledIn) GTEST_SKIP() << "built with GRIDSAT_PROOF=OFF";
-  // Races + splits + losers publishing into the shared log: the stitch
-  // must still close the tree (duplicate/late leaves are pruned).
-  const CnfFormula f = gen::pigeonhole_unsat(8);
-  ParallelOptions options = race_options(ParallelMode::kHybrid, 4, 2);
-  options.solver.log_proof = true;
-  ParallelSolver solver(f, options);
-  const ParallelResult result = solver.solve();
-  ASSERT_EQ(result.status, SolveStatus::kUnsat);
-  ASSERT_TRUE(result.proof != nullptr);
-  ASSERT_TRUE(result.proof_stitched) << result.proof_error;
-  const ProofCheckResult check = certify(f, *result.proof);
-  EXPECT_TRUE(check.valid) << check.message << " at step " << check.failed_step;
-}
-
-TEST(RaceTest, TrivialInstancesEveryMode) {
-  for (const ParallelMode mode :
-       {ParallelMode::kPortfolio, ParallelMode::kHybrid}) {
-    CnfFormula empty(3);
-    ParallelSolver a(empty, race_options(mode, 2));
-    EXPECT_EQ(a.solve().status, SolveStatus::kSat) << to_string(mode);
-
-    CnfFormula contradiction;
-    contradiction.add_dimacs_clause({1});
-    contradiction.add_dimacs_clause({-1});
-    ParallelSolver b(contradiction, race_options(mode, 2));
-    EXPECT_EQ(b.solve().status, SolveStatus::kUnsat) << to_string(mode);
-  }
-}
-
-TEST(ParallelModeTest, ParseRoundTrips) {
-  ParallelMode mode = ParallelMode::kSplit;
-  for (const ParallelMode m : {ParallelMode::kSplit, ParallelMode::kPortfolio,
-                               ParallelMode::kHybrid}) {
-    ASSERT_TRUE(parse_parallel_mode(to_string(m), mode));
-    EXPECT_EQ(mode, m);
-  }
-  EXPECT_FALSE(parse_parallel_mode("raced", mode));
-}
 
 }  // namespace
 }  // namespace gridsat::solver

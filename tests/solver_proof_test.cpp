@@ -383,6 +383,7 @@ TEST(DistributedProofTest, ParallelRefutationCertifies) {
   ParallelSolver solver(f, options);
   const ParallelResult result = solver.solve();
   ASSERT_EQ(result.status, SolveStatus::kUnsat);
+  EXPECT_EQ(result.stats.subproblems_refuted, result.stats.splits + 1);
   ASSERT_TRUE(result.proof != nullptr);
   ASSERT_TRUE(result.proof_stitched) << result.proof_error;
   const ProofCheckResult check = certify(f, *result.proof);
@@ -401,11 +402,50 @@ TEST(DistributedProofTest, ParallelXorChainRefutationCertifies) {
   ParallelSolver solver(f, options);
   const ParallelResult result = solver.solve();
   ASSERT_EQ(result.status, SolveStatus::kUnsat);
+  EXPECT_EQ(result.stats.subproblems_refuted, result.stats.splits + 1);
   ASSERT_TRUE(result.proof != nullptr);
   ASSERT_TRUE(result.proof_stitched) << result.proof_error;
   const ProofCheckResult check = certify(f, *result.proof);
   EXPECT_TRUE(check.valid) << check.message;
 }
+
+class ParallelCertifySweep
+    : public testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(ParallelCertifySweep, VerdictMatchesBruteForceAndCertifies) {
+  REQUIRE_PROOF_HOOKS();
+  const auto [threads, seed] = GetParam();
+  const CnfFormula f = gen::random_ksat(
+      14, 59, 3, static_cast<std::uint64_t>(seed) * 211 + 43);
+  const bool truth = brute_force_solve(f).has_value();
+  ParallelOptions options;
+  options.num_threads = static_cast<std::size_t>(threads);
+  options.slice_work = 20;  // cooperate (publish, import, offer a split)
+                            // after every few propagation batches
+  options.solver.log_proof = true;
+  ParallelSolver solver(f, options);
+  const ParallelResult result = solver.solve();
+  ASSERT_EQ(result.status, truth ? SolveStatus::kSat : SolveStatus::kUnsat)
+      << "threads " << threads << " seed " << seed;
+  if (result.status == SolveStatus::kSat) {
+    EXPECT_TRUE(is_model(f, result.model));
+    return;
+  }
+  // Every subproblem (the root plus one per split) ends refuted. A
+  // 14-variable search usually ends before a second worker waits for work,
+  // so splits are rare here; the DistributedProofTest cases above check
+  // the same invariant on split trees.
+  EXPECT_EQ(result.stats.subproblems_refuted, result.stats.splits + 1);
+  ASSERT_TRUE(result.proof != nullptr);
+  ASSERT_TRUE(result.proof_stitched) << result.proof_error;
+  const ProofCheckResult check = certify(f, *result.proof);
+  EXPECT_TRUE(check.valid) << check.message << " at step "
+                           << check.failed_step;
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, ParallelCertifySweep,
+                         testing::Combine(testing::Values(1, 2, 4),
+                                          testing::Range(0, 16)));
 
 TEST(DistributedProofTest, NoProofWithoutLogProof) {
   const CnfFormula f = gen::pigeonhole_unsat(6);
