@@ -43,6 +43,10 @@ constexpr std::uint32_t kGlueLbd = 2;
 /// kGeometric restart growth per restart (MiniSat's classic factor).
 constexpr double kGeometricRestartGrowth = 1.5;
 
+/// Watchers the long-clause scan looks ahead when it prefetches a
+/// clause header out of the arena.
+constexpr std::ptrdiff_t kClausePrefetchDistance = 4;
+
 /// Copy an arena clause out with strictly ascending literal codes (the
 /// canonical order the wire encoder and add_clause_at_level0() take
 /// without sorting). When the code span needs at most one 64-bit word
@@ -116,6 +120,7 @@ void CdclSolver::init(Var num_vars, const std::vector<cnf::Clause>& clauses,
   bin_watches_.assign(2 * nv, {});
   bin_occupied_.assign((2 * nv + 63) / 64, 0);
   watch_occupied_.assign((2 * nv + 63) / 64, 0);
+  vals_.assign(2 * nv, LBool::kUndef);
   vars_.assign(nv, VarState{});
   phase_.assign(nv, 2);  // 2 = no saved phase
   activity_.assign(2 * nv, 0.0);
@@ -164,7 +169,7 @@ bool CdclSolver::enqueue_level0(Lit p, bool tainted) {
     return true;
   }
   const Var var = p.var();
-  vars_[var].assign = p.satisfying_value();
+  assign_true(p);
   vars_[var].level = 0;
   vars_[var].reason = kDecisionReason;
   vars_[var].taint = tainted ? 1 : 0;
@@ -279,7 +284,7 @@ bool CdclSolver::enqueue(Lit p, ClauseRef reason) {
   if (v == LBool::kFalse) return false;
   if (v == LBool::kTrue) return true;
   const Var var = p.var();
-  vars_[var].assign = p.satisfying_value();
+  assign_true(p);
   vars_[var].level = decision_level();
   vars_[var].reason = reason;
   if (decision_level() == 0) {
@@ -307,7 +312,7 @@ void CdclSolver::enqueue_implied(Lit p, ClauseRef reason, std::uint32_t dl) {
   // level is a cached operand instead of a trail_lim_ load per call.
   assert(value(p) == LBool::kUndef);
   const Var var = p.var();
-  vars_[var].assign = p.satisfying_value();
+  assign_true(p);
   vars_[var].level = dl;
   vars_[var].reason = reason;
   if (dl == 0) {
@@ -338,8 +343,9 @@ ClauseRef CdclSolver::propagate_binary(Lit falsified, std::uint32_t dl) {
   stats_.work += n;
   for (std::size_t i = 0; i < n; ++i) {
 #if defined(__GNUC__) || defined(__clang__)
-    // The contiguous store makes upcoming implied variables known well in
-    // advance; hide the random-access assignment lookup behind the scan.
+    // value() reads the table, but an implication writes the implied
+    // variable's VarState; on instances whose vars_ outgrows L2 that
+    // store misses, so fetch it from the look-ahead entry.
     if (i + 8 < n) {
       __builtin_prefetch(&vars_[bws[i + 8].implied.var()], 0, 1);
     }
@@ -383,7 +389,10 @@ ClauseRef CdclSolver::propagate_fast() {
       if (!occupied(bin_occupied_, bfalsified.code())) continue;
 #if defined(__GNUC__) || defined(__clang__)
       if (bhead < trail_.size()) {
-        __builtin_prefetch(&bin_watches_[(~trail_[bhead]).code()], 0, 1);
+        const std::uint32_t next = (~trail_[bhead]).code();
+        if (occupied(bin_occupied_, next)) {
+          __builtin_prefetch(&bin_watches_[next], 0, 1);
+        }
       }
 #endif
       const ClauseRef bin_confl = propagate_binary(bfalsified, dl);
@@ -408,8 +417,11 @@ ClauseRef CdclSolver::propagate_fast() {
     while (i != end) {
       ++stats_.work;
 #if defined(__GNUC__) || defined(__clang__)
-      if (i + 4 < end) {
-        __builtin_prefetch(&vars_[i[4].blocker.var()], 0, 1);
+      // The blocker's value sits in the cache-resident table; the load
+      // that misses is the clause itself, so fetch its header ahead.
+      if (end - i > kClausePrefetchDistance) {
+        __builtin_prefetch(
+            arena_.header_address(i[kClausePrefetchDistance].cref));
       }
 #endif
       const Watcher w = *i++;
@@ -809,8 +821,9 @@ void CdclSolver::backtrack(std::uint32_t target_level) {
   const std::size_t bound = trail_lim_[target_level];
   for (std::size_t i = trail_.size(); i-- > bound;) {
     const Var v = trail_[i].var();
-    phase_[v] = (vars_[v].assign == LBool::kTrue) ? 1 : 0;
-    vars_[v].assign = LBool::kUndef;
+    phase_[v] = (value(v) == LBool::kTrue) ? 1 : 0;
+    vals_[2 * v] = LBool::kUndef;
+    vals_[2 * v + 1] = LBool::kUndef;
     vars_[v].reason = kNoClause;
     vars_[v].taint = 0;
     if (heap_pos_[2 * v] < 0) heap_insert(2 * v);
@@ -877,7 +890,7 @@ std::optional<Lit> CdclSolver::pick_branch() {
     // past the end of a variable-free instance's tables.
     for (int tries = 0; tries < 16; ++tries) {
       const Var v = static_cast<Var>(rng_.range(1, num_vars_));
-      if (vars_[v].assign == LBool::kUndef) {
+      if (value(v) == LBool::kUndef) {
         return Lit(v, rng_.chance(0.5));
       }
     }
@@ -899,7 +912,7 @@ std::optional<Lit> CdclSolver::pick_branch() {
   }
   // Heap exhausted: variables absent from every clause may remain.
   for (Var v = 1; v <= num_vars_; ++v) {
-    if (vars_[v].assign == LBool::kUndef) return Lit(v, true);  // default false
+    if (value(v) == LBool::kUndef) return Lit(v, true);  // default false
   }
   return std::nullopt;
 }
@@ -1229,7 +1242,7 @@ SolveStatus CdclSolver::solve(std::uint64_t work_budget) {
       if (!decision.has_value()) {
         model_.assign(vars_.size(), LBool::kUndef);
         for (std::size_t v = 1; v < vars_.size(); ++v) {
-          model_[v] = vars_[v].assign;
+          model_[v] = value(static_cast<Var>(v));
         }
         return status_ = SolveStatus::kSat;
       }
@@ -1460,6 +1473,25 @@ std::string CdclSolver::check_invariants() const {
   for (std::size_t i = 0; i < trail_lim_.size(); ++i) {
     if (trail_lim_[i] > trail_.size()) return "trail_lim beyond trail";
     if (i > 0 && trail_lim_[i] < trail_lim_[i - 1]) return "trail_lim not monotone";
+  }
+  // Value table: each variable's two entries are complements or both
+  // undefined, and exactly the trail's literals are true (the trail loop
+  // below checks each is true; the count rules out any other).
+  std::size_t num_true = 0;
+  for (std::size_t code = 0; code < vals_.size(); code += 2) {
+    const LBool pos = vals_[code];
+    const LBool neg = vals_[code + 1];
+    if (pos != cnf::negate(neg)) {
+      err << "value table entries of variable " << code / 2
+          << " are neither complements nor both undefined";
+      return err.str();
+    }
+    if (pos != LBool::kUndef) ++num_true;
+  }
+  if (num_true != trail_.size()) {
+    err << num_true << " true literals in the value table, " << trail_.size()
+        << " on the trail";
+    return err.str();
   }
   for (std::size_t i = 0; i < trail_.size(); ++i) {
     const Lit p = trail_[i];

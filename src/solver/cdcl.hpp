@@ -340,10 +340,10 @@ class CdclSolver {
 
   /// Value of a variable under the current (partial) assignment.
   [[nodiscard]] cnf::LBool value(cnf::Var v) const noexcept {
-    return vars_[v].assign;
+    return vals_[cnf::Lit(v, false).code()];
   }
   [[nodiscard]] cnf::LBool value(cnf::Lit l) const noexcept {
-    return l.value_under(vars_[l.var()].assign);
+    return vals_[l.code()];
   }
   [[nodiscard]] std::uint32_t level_of(cnf::Var v) const noexcept {
     return vars_[v].level;
@@ -521,16 +521,24 @@ class CdclSolver {
   }
 
   /// Per-variable search state packed into one 12-byte record so the BCP
-  /// enqueue path (assign + level + reason + taint) touches a single
-  /// cache line per variable instead of four parallel arrays.
+  /// enqueue path (level + reason + taint) touches a single cache line
+  /// per variable instead of three parallel arrays.
   struct VarState {
-    cnf::LBool assign = cnf::LBool::kUndef;
     std::uint8_t taint = 0;
     std::uint32_t level = 0;
     ClauseRef reason = kNoClause;
   };
 
-  // Assignment state, indexed by variable (slot 0 unused).
+  /// The assignment, one byte per literal code: value(Lit) is a single
+  /// load with no polarity logic. A variable's two entries are
+  /// complements, or both kUndef while it is unassigned.
+  std::vector<cnf::LBool> vals_;
+  void assign_true(cnf::Lit p) noexcept {
+    vals_[p.code()] = cnf::LBool::kTrue;
+    vals_[p.code() ^ 1] = cnf::LBool::kFalse;
+  }
+
+  // Per-variable search state, indexed by variable (slot 0 unused).
   std::vector<VarState> vars_;
   std::vector<std::uint8_t> phase_;  ///< saved phase (1 = last true)
 

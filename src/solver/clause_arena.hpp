@@ -113,6 +113,12 @@ class ClauseArena {
     return {reinterpret_cast<cnf::Lit*>(&data_[r + kHeaderWords]), size(r)};
   }
 
+  /// Address of clause r's header, computed without loading it: the
+  /// target of a software prefetch ahead of lits_mut(r).
+  [[nodiscard]] const std::uint32_t* header_address(ClauseRef r) const noexcept {
+    return data_.data() + r;
+  }
+
   [[nodiscard]] bool binary(ClauseRef r) const { return size(r) == 2; }
 
   [[nodiscard]] float activity(ClauseRef r) const {

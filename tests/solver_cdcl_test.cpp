@@ -516,6 +516,102 @@ TEST(CdclDeterminismTest, SameSeedSameTrace) {
   EXPECT_EQ(a.stats().work, b.stats().work);
 }
 
+// --- Search trajectory golden values ---------------------------------------
+
+// Exact SolverStats of three fixed searches. Host-only changes to the
+// search (BCP layout, prefetching, allocation) must visit every watcher and
+// count every work unit in the same order, so none of these may move; the
+// simulator turns `work` into virtual time, and a moved count moves every
+// campaign's fixed point. Only a change that means to alter the search
+// itself may update them.
+struct SearchGolden {
+  SolveStatus status;
+  std::uint64_t work;
+  std::uint64_t propagations;
+  std::uint64_t binary_propagations;
+  std::uint64_t conflicts;
+  std::uint64_t decisions;
+  std::uint64_t learned_literals;
+  std::uint64_t restarts;
+  std::uint64_t db_reductions;
+  std::uint64_t arena_compactions;
+};
+
+void expect_search_golden(const CdclSolver& solver, const SearchGolden& g) {
+  const SolverStats& s = solver.stats();
+  EXPECT_EQ(solver.status(), g.status);
+  EXPECT_EQ(s.work, g.work);
+  EXPECT_EQ(s.propagations, g.propagations);
+  EXPECT_EQ(s.binary_propagations, g.binary_propagations);
+  EXPECT_EQ(s.conflicts, g.conflicts);
+  EXPECT_EQ(s.decisions, g.decisions);
+  EXPECT_EQ(s.learned_literals, g.learned_literals);
+  EXPECT_EQ(s.restarts, g.restarts);
+  EXPECT_EQ(s.db_reductions, g.db_reductions);
+  EXPECT_EQ(s.arena_compactions, g.arena_compactions);
+}
+
+TEST(SearchGoldenTest, PigeonholeEightUnsat) {
+  CdclSolver solver(gen::pigeonhole_unsat(8));
+  solver.solve();
+  expect_search_golden(solver, {.status = SolveStatus::kUnsat,
+                                .work = 41970032,
+                                .propagations = 143450,
+                                .binary_propagations = 82185,
+                                .conflicts = 9676,
+                                .decisions = 12039,
+                                .learned_literals = 200296,
+                                .restarts = 12,
+                                .db_reductions = 1,
+                                .arena_compactions = 1});
+}
+
+TEST(SearchGoldenTest, RandomThreeSatV200Sat) {
+  const CnfFormula f = gen::random_ksat(200, 840, 3, 13);
+  CdclSolver solver(f);
+  ASSERT_EQ(solver.solve(), SolveStatus::kSat);
+  EXPECT_TRUE(is_model(f, solver.model()));
+  expect_search_golden(solver, {.status = SolveStatus::kSat,
+                                .work = 21743410,
+                                .propagations = 759419,
+                                .binary_propagations = 2513,
+                                .conflicts = 15432,
+                                .decisions = 19095,
+                                .learned_literals = 177660,
+                                .restarts = 14,
+                                .db_reductions = 2,
+                                .arena_compactions = 2});
+}
+
+TEST(SearchGoldenTest, SplitThenRebuiltSolver) {
+  CdclSolver solver(gen::pigeonhole_unsat(7));
+  ASSERT_EQ(solver.solve(20000), SolveStatus::kUnknown);
+  ASSERT_TRUE(solver.can_split());
+  CdclSolver rebuilt(solver.split());
+  solver.solve();
+  rebuilt.solve();
+  expect_search_golden(solver, {.status = SolveStatus::kUnsat,
+                                .work = 233602,
+                                .propagations = 7369,
+                                .binary_propagations = 4939,
+                                .conflicts = 433,
+                                .decisions = 513,
+                                .learned_literals = 6924,
+                                .restarts = 0,
+                                .db_reductions = 0,
+                                .arena_compactions = 0});
+  expect_search_golden(rebuilt, {.status = SolveStatus::kUnsat,
+                                 .work = 925926,
+                                 .propagations = 14262,
+                                 .binary_propagations = 8792,
+                                 .conflicts = 980,
+                                 .decisions = 1212,
+                                 .learned_literals = 14246,
+                                 .restarts = 1,
+                                 .db_reductions = 0,
+                                 .arena_compactions = 0});
+}
+
 // --- DPLL-specific ---------------------------------------------------------
 
 TEST(DpllTest, BasicVerdicts) {
