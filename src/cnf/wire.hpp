@@ -20,10 +20,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <numeric>
 #include <span>
 #include <vector>
 
+#include "cnf/clause_pool.hpp"
 #include "cnf/formula.hpp"
 #include "cnf/types.hpp"
 #include "util/bytes.hpp"
@@ -46,33 +46,63 @@ void encode_sorted_clause(W& out, std::span<const Lit> lits) {
   }
 }
 
-/// Encode clauses as length-grouped runs. Empty clauses are not
-/// representable on the wire (an empty clause means the search already
-/// refuted this node; nothing legitimate ships one). A clause that
-/// arrives sorted (CdclSolver::to_subproblem() emits every clause that
-/// way) is encoded in place; any other is copied and sorted first. Both
-/// paths emit the same bytes.
-template <class W>
-void encode_clause_stream(W& out, std::span<const Clause> clauses) {
+/// The indices of `clauses` in stable non-decreasing length order: a
+/// counting sort, since lengths are small integers. `clauses` is any
+/// clause list with size() and operator[] (a std::span<const Clause> or a
+/// ClausePool or ClausePool::Slice).
+template <class Clauses>
+std::vector<std::uint32_t> order_by_length(const Clauses& clauses) {
+  const std::size_t count = clauses.size();
+  std::size_t max_len = 0;
+  for (std::size_t k = 0; k < count; ++k) {
+    max_len = std::max(max_len, clauses[k].size());
+  }
+  std::vector<std::uint32_t> next(max_len + 1, 0);  // first slot per length
+  for (std::size_t k = 0; k < count; ++k) {
+    if (clauses[k].size() < max_len) ++next[clauses[k].size() + 1];
+  }
+  for (std::size_t len = 1; len <= max_len; ++len) next[len] += next[len - 1];
+  std::vector<std::uint32_t> order(count);
+  for (std::size_t k = 0; k < count; ++k) {
+    order[next[clauses[k].size()]++] = static_cast<std::uint32_t>(k);
+  }
+  return order;
+}
+
+/// Encode clauses as length-grouped runs. `clauses` is any clause list
+/// with size() and operator[] (a std::span<const Clause> or a
+/// ClausePool::Slice). Empty clauses are not representable on the wire
+/// (an empty clause means the search already refuted this node; nothing
+/// legitimate ships one). A list already in non-decreasing length order
+/// (a learned block after Subproblem::trim_learned()) skips the stable
+/// sort. A clause that arrives sorted (CdclSolver::to_subproblem() emits
+/// every clause that way) is encoded in place; any other is copied and
+/// sorted first. All paths emit the same bytes.
+template <class W, class Clauses>
+void encode_clause_stream(W& out, const Clauses& clauses) {
   const std::size_t count = clauses.size();
   out.var_u64(count);
-  std::vector<std::uint32_t> order(count);
-  std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return clauses[a].size() < clauses[b].size();
-                   });
+  std::vector<std::uint32_t> order;
+  for (std::size_t k = 1; k < count; ++k) {
+    if (clauses[k].size() < clauses[k - 1].size()) {
+      order = order_by_length(clauses);
+      break;
+    }
+  }
+  const auto at = [&](std::size_t k) {
+    return std::span<const Lit>(clauses[order.empty() ? k : order[k]]);
+  };
   Clause sorted;
   std::size_t i = 0;
   while (i < count) {
-    const std::size_t len = clauses[order[i]].size();
+    const std::size_t len = at(i).size();
     if (len == 0) throw util::DecodeError("cannot encode an empty clause");
     std::size_t j = i + 1;
-    while (j < count && clauses[order[j]].size() == len) ++j;
+    while (j < count && at(j).size() == len) ++j;
     out.var_u64(len);
     out.var_u64(j - i);
     for (std::size_t k = i; k < j; ++k) {
-      const Clause& clause = clauses[order[k]];
+      const std::span<const Lit> clause = at(k);
       if (std::is_sorted(clause.begin(), clause.end())) {
         encode_sorted_clause(out, clause);
         continue;
@@ -90,14 +120,13 @@ void encode_clause_stream(W& out, std::span<const Clause> clauses) {
 /// watches, so semantics are unchanged. Structural bounds are validated
 /// before any allocation so adversarial buffers fail with DecodeError
 /// instead of an out-of-memory reserve.
-inline void decode_clause_stream(util::ByteReader& in,
-                                 std::vector<Clause>& out) {
+inline void decode_clause_stream(util::ByteReader& in, ClausePool& out) {
   const std::uint64_t count = in.var_u64();
   // Every clause carries >= 1 literal and every literal >= 1 byte.
   if (count > in.remaining()) {
     throw util::DecodeError("clause stream count exceeds buffer");
   }
-  out.reserve(out.size() + count);
+  out.reserve(out.size() + count, out.num_lits() + count);
   std::uint64_t emitted = 0;
   while (emitted < count) {
     const std::uint64_t len = in.var_u64();
@@ -110,8 +139,7 @@ inline void decode_clause_stream(util::ByteReader& in,
       throw util::DecodeError("clause length exceeds buffer");
     }
     for (std::uint64_t k = 0; k < run; ++k) {
-      Clause c;
-      c.reserve(len);
+      const std::span<Lit> clause = out.open_clause(len);
       std::uint32_t code = 0;
       for (std::uint64_t m = 0; m < len; ++m) {
         const std::uint64_t delta = in.var_u64();
@@ -120,12 +148,22 @@ inline void decode_clause_stream(util::ByteReader& in,
           throw util::DecodeError("literal code out of range");
         }
         code = static_cast<std::uint32_t>(next);
-        c.push_back(Lit::from_code(code));
+        clause[m] = Lit::from_code(code);
       }
-      out.push_back(std::move(c));
+      out.close_clause(len);
     }
     emitted += run;
   }
+}
+
+/// The same stream decoded into one vector per clause (checkpoints and
+/// clause-sharing batches keep that form).
+inline void decode_clause_stream(util::ByteReader& in,
+                                 std::vector<Clause>& out) {
+  ClausePool pool;
+  decode_clause_stream(in, pool);
+  out.reserve(out.size() + pool.size());
+  for (const std::span<const Lit> c : pool) out.emplace_back(c.begin(), c.end());
 }
 
 /// Order-preserving literal array (guiding-path units, assumptions keep

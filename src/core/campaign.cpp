@@ -375,7 +375,7 @@ void Client::maybe_checkpoint() {
   const CheckpointMode mode = campaign_.config().checkpoint;
   if (mode == CheckpointMode::kNone || !solver_) return;
   const double now = campaign_.engine().now();
-  const std::size_t level0 = solver_->level0_units().size();
+  const std::size_t level0 = solver_->level0_size();
   // Light checkpoints update only when level 0 grows (§3.4); heavy ones
   // also refresh on the configured cadence.
   const bool level0_grew = level0 > checkpointed_level0_;
@@ -984,7 +984,7 @@ void Campaign::on_register(std::size_t host_index) {
     problem_assigned_ = true;
     auto sp = std::make_shared<solver::Subproblem>();
     sp->num_vars = formula_.num_vars();
-    sp->clauses = formula_.clauses();
+    sp->clauses = cnf::ClausePool(formula_.clauses());
     sp->num_problem_clauses = sp->clauses.size();
     sp->path = "root";
     entry.state = HostState::kReserved;
@@ -1000,7 +1000,7 @@ void Campaign::on_register(std::size_t host_index) {
     // clause bus still connects everyone, so racers cooperate).
     auto sp = std::make_shared<solver::Subproblem>();
     sp->num_vars = formula_.num_vars();
-    sp->clauses = formula_.clauses();
+    sp->clauses = cnf::ClausePool(formula_.clauses());
     sp->num_problem_clauses = sp->clauses.size();
     sp->path = "root";
     sp->lineage_id = root_lineage_;

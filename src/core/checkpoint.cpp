@@ -69,11 +69,9 @@ solver::Subproblem restore_chain(std::span<const Checkpoint> chain,
   solver::Subproblem sp;
   sp.num_vars = original.num_vars();
   sp.units = tip.units;
-  sp.clauses = original.clauses();
+  sp.clauses = cnf::ClausePool(original.clauses());
   sp.num_problem_clauses = sp.clauses.size();
-  for (const Checkpoint& cp : chain) {
-    sp.clauses.insert(sp.clauses.end(), cp.learned.begin(), cp.learned.end());
-  }
+  for (const Checkpoint& cp : chain) sp.clauses.append(cp.learned);
   sp.assumptions = tip.assumptions;
   sp.path = "checkpoint-restore";
   // Keep the restored subproblem's causal identity: the recovery ship

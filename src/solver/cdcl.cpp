@@ -47,15 +47,16 @@ constexpr double kGeometricRestartGrowth = 1.5;
 /// clause header out of the arena.
 constexpr std::ptrdiff_t kClausePrefetchDistance = 4;
 
-/// Copy an arena clause out with strictly ascending literal codes (the
+/// Write an arena clause's literals with strictly ascending codes (the
 /// canonical order the wire encoder and add_clause_at_level0() take
-/// without sorting). When the code span needs at most one 64-bit word
+/// without sorting) to `out`, which has room for lits.size(); returns how
+/// many were written. When the code span needs at most one 64-bit word
 /// per literal a bitmap over the span sorts in one linear pass; a wider
 /// span falls back to std::sort. Both paths drop a repeated literal
-/// (arena clauses hold none), so they return the same clause for any
+/// (arena clauses hold none), so they write the same clause for any
 /// input. `bits` is caller-owned scratch, left all-zero.
-cnf::Clause canonical_clause(std::span<const Lit> lits,
-                             std::vector<std::uint64_t>& bits) {
+std::size_t write_canonical(std::span<const Lit> lits,
+                            std::vector<std::uint64_t>& bits, Lit* out) {
   std::uint32_t lo = lits[0].code();
   std::uint32_t hi = lo;
   for (const Lit l : lits) {
@@ -64,26 +65,24 @@ cnf::Clause canonical_clause(std::span<const Lit> lits,
   }
   const std::size_t words = ((hi - lo) >> 6) + 1;
   if (words > lits.size()) {
-    cnf::Clause out(lits.begin(), lits.end());
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-    return out;
+    Lit* const end = std::copy(lits.begin(), lits.end(), out);
+    std::sort(out, end);
+    return static_cast<std::size_t>(std::unique(out, end) - out);
   }
   if (bits.size() < words) bits.resize(words, 0);
   for (const Lit l : lits) {
     const std::uint32_t d = l.code() - lo;
     bits[d >> 6] |= std::uint64_t{1} << (d & 63);
   }
-  cnf::Clause out;
-  out.reserve(lits.size());
+  std::size_t n = 0;
   for (std::size_t w = 0; w < words; ++w) {
     for (std::uint64_t b = bits[w]; b != 0; b &= b - 1) {
-      out.push_back(Lit::from_code(lo + static_cast<std::uint32_t>(
-                                            (w << 6) + std::countr_zero(b))));
+      out[n++] = Lit::from_code(
+          lo + static_cast<std::uint32_t>((w << 6) + std::countr_zero(b)));
     }
     bits[w] = 0;
   }
-  return out;
+  return n;
 }
 
 }  // namespace
@@ -111,7 +110,8 @@ CdclSolver::CdclSolver(const Subproblem& subproblem, SolverConfig config)
        subproblem.units);
 }
 
-void CdclSolver::init(Var num_vars, const std::vector<cnf::Clause>& clauses,
+template <class Clauses>
+void CdclSolver::init(Var num_vars, const Clauses& clauses,
                       std::size_t num_problem_clauses,
                       const std::vector<SubproblemUnit>& units) {
   num_vars_ = num_vars;
@@ -151,12 +151,20 @@ void CdclSolver::init(Var num_vars, const std::vector<cnf::Clause>& clauses,
       return;
     }
   }
+  std::vector<ClauseRef> stored;
+  stored.reserve(clauses.size());
   for (std::size_t i = 0; i < clauses.size(); ++i) {
-    if (!add_clause_at_level0(clauses[i], /*learned=*/i >= num_problem_clauses)) {
+    ClauseRef cref = kNoClause;
+    const bool ok =
+        add_clause_at_level0(clauses[i], /*learned=*/i >= num_problem_clauses,
+                             &cref, /*attach_now=*/false);
+    if (cref != kNoClause) stored.push_back(cref);
+    if (!ok) {
       root_conflict_ = true;
-      return;
+      break;
     }
   }
+  attach_all(stored);
 }
 
 bool CdclSolver::enqueue_level0(Lit p, bool tainted) {
@@ -177,14 +185,15 @@ bool CdclSolver::enqueue_level0(Lit p, bool tainted) {
   return true;
 }
 
-bool CdclSolver::add_clause_at_level0(const cnf::Clause& clause, bool learned,
-                                      ClauseRef* new_ref) {
+bool CdclSolver::add_clause_at_level0(std::span<const Lit> clause,
+                                      bool learned, ClauseRef* new_ref,
+                                      bool attach_now) {
   assert(decision_level() == 0);
   if (new_ref != nullptr) *new_ref = kNoClause;
   // Preprocess: sort/dedupe, detect tautology, apply level-0 facts. A
   // strictly ascending clause (what to_subproblem() ships) is already
   // sorted and duplicate-free, so it skips the copy and the sort.
-  std::span<const Lit> lits(clause);
+  std::span<const Lit> lits = clause;
   if (std::adjacent_find(clause.begin(), clause.end(), [](Lit a, Lit b) {
         return !(a < b);
       }) != clause.end()) {
@@ -200,7 +209,9 @@ bool CdclSolver::add_clause_at_level0(const cnf::Clause& clause, bool learned,
   // Unassigned literals first so the watched pair is sane, then the
   // tainted-false ones, each group in ascending order.
   std::vector<Lit>& kept = add_kept_;
+  std::vector<Lit>& tainted_false = add_tainted_false_;
   kept.clear();
+  tainted_false.clear();
   for (const Lit l : lits) {
     if (l.var() > num_vars_) {
       // Grow the universe? Clauses beyond num_vars indicate generator or
@@ -211,23 +222,23 @@ bool CdclSolver::add_clause_at_level0(const cnf::Clause& clause, bool learned,
     }
     const LBool v = value(l);
     if (v == LBool::kTrue) return true;  // satisfied at level 0: prune (paper §3.1)
-    if (v == LBool::kUndef) kept.push_back(l);
+    if (v == LBool::kUndef) {
+      kept.push_back(l);
+    } else if (tainted(l.var())) {
+      // Keep tainted-false literals: dropping them would make clauses
+      // derived from this one depend on split assumptions invisibly.
+      tainted_false.push_back(l);
+    }
   }
   const std::size_t num_open = kept.size();
   if (num_open == 0) return false;  // all literals false => conflict
-  for (const Lit l : lits) {
-    // Keep tainted-false literals: dropping them would make clauses
-    // derived from this one depend on split assumptions invisibly.
-    if (l.var() <= num_vars_ && value(l) == LBool::kFalse && tainted(l.var())) {
-      kept.push_back(l);
-    }
-  }
+  kept.insert(kept.end(), tainted_false.begin(), tainted_false.end());
   if (num_open == 1 && kept.size() == 1) {
     return enqueue_level0(kept[0], /*tainted=*/false);
   }
   const ClauseRef cref = arena_.alloc(kept, learned);
   if (new_ref != nullptr) *new_ref = cref;
-  attach(cref);
+  if (attach_now) attach(cref);
   if (num_open == 1) {
     // Effectively unit: imply the open literal; taint flows from the kept
     // tainted-false literals through the reason clause.
@@ -253,6 +264,20 @@ void CdclSolver::attach(ClauseRef cref) {
   watches_[l1.code()].push_back(Watcher{cref, l0});
   set_occupied(watch_occupied_, l0.code());
   set_occupied(watch_occupied_, l1.code());
+}
+
+void CdclSolver::attach_all(std::span<const ClauseRef> crefs) {
+  std::vector<std::uint32_t> counts(2 * watches_.size(), 0);
+  for (const ClauseRef cref : crefs) {
+    const std::size_t store = in_binary_store(cref) ? watches_.size() : 0;
+    ++counts[store + arena_.lit(cref, 0).code()];
+    ++counts[store + arena_.lit(cref, 1).code()];
+  }
+  for (std::size_t code = 0; code < watches_.size(); ++code) {
+    watches_[code].reserve(counts[code]);
+    bin_watches_[code].reserve(counts[watches_.size() + code]);
+  }
+  for (const ClauseRef cref : crefs) attach(cref);
 }
 
 void CdclSolver::detach(ClauseRef cref) {
@@ -1023,9 +1048,10 @@ void CdclSolver::garbage_collect() {
 }
 
 void CdclSolver::compact_ordered() {
-  // The ordered rewrite builds a second buffer (transiently ~2x the live
-  // bytes); under memory pressure fall back to the in-place gc so the
-  // squeeze path never overshoots the limit it is trying to respect.
+  // Both compactions copy into a right-sized second buffer; the ordered
+  // one also builds and sorts an order vector first. Under memory
+  // pressure take the allocation-order gc instead, so the squeeze path
+  // keeps the layout (and the search) it has always had.
   if (arena_.live_bytes() > config_.memory_limit_bytes / 2) {
     garbage_collect();
     return;
@@ -1121,8 +1147,7 @@ bool CdclSolver::simplify_at_level0() {
     // checker can still propagate them. Tainted literals are guiding-path
     // assumptions, not consequences — they are never logged and never
     // dropped from learned clauses either.
-    const std::size_t level0_end =
-        trail_lim_.empty() ? trail_.size() : trail_lim_[0];
+    const std::size_t level0_end = level0_size();
     for (std::size_t i = proof_logged_units_; i < level0_end; ++i) {
       if (!vars_[trail_[i].var()].taint) {
         proof_add(cnf::Clause{trail_[i]});
@@ -1179,17 +1204,16 @@ SolveStatus CdclSolver::solve(std::uint64_t work_budget) {
         log_terminal();
         return status_ = SolveStatus::kUnsat;
       }
-      std::vector<Lit> learned;
       std::uint32_t backjump_level = 0;
       std::uint32_t lbd = 0;
       Lit uip = kUndefLit;
-      analyze(confl, learned, backjump_level, uip, lbd);
-      record_conflict(confl, learned, uip, backjump_level, lbd);
+      analyze(confl, learned_, backjump_level, uip, lbd);
+      record_conflict(confl, learned_, uip, backjump_level, lbd);
       obs::trace_event(tracer_, trace_worker_, obs::EventKind::kConflict, lbd,
                        decision_level());
       backtrack(backjump_level);
       if (!otf_jobs_.empty()) apply_otf_strengthening();
-      learn_and_attach(learned, lbd);
+      learn_and_attach(learned_, lbd);
       if (root_conflict_) {
         log_terminal();
         return status_ = SolveStatus::kUnsat;
@@ -1339,8 +1363,7 @@ Subproblem CdclSolver::to_subproblem() const {
   Subproblem sp;
   sp.num_vars = num_vars_;
   sp.assumptions = assumptions_;
-  const std::size_t level0_end =
-      trail_lim_.empty() ? trail_.size() : trail_lim_[0];
+  const std::size_t level0_end = level0_size();
   sp.units.reserve(level0_end);
   for (std::size_t i = 0; i < level0_end; ++i) {
     const Var v = trail_[i].var();
@@ -1357,16 +1380,24 @@ Subproblem CdclSolver::to_subproblem() const {
     }
     return false;
   };
+  // Upper bounds (satisfied clauses are skipped), so the pool never
+  // regrows mid-copy.
+  const std::size_t num_clauses = arena_.num_problem() + arena_.num_learned();
+  sp.clauses.reserve(num_clauses,
+                     arena_.live_bytes() / sizeof(std::uint32_t) -
+                         ClauseArena::kHeaderWords * num_clauses);
   std::vector<std::uint64_t> bits;
-  sp.clauses.reserve(arena_.num_problem() + arena_.num_learned());
+  const auto ship = [&](ClauseRef r) {
+    const std::span<const Lit> lits = arena_.lits(r);
+    const std::span<Lit> slots = sp.clauses.open_clause(lits.size());
+    sp.clauses.close_clause(write_canonical(lits, bits, slots.data()));
+  };
   arena_.for_each([&](ClauseRef r) {
-    if (arena_.learned(r) || satisfied_at_level0(r)) return;
-    sp.clauses.push_back(canonical_clause(arena_.lits(r), bits));
+    if (!arena_.learned(r) && !satisfied_at_level0(r)) ship(r);
   });
   sp.num_problem_clauses = sp.clauses.size();
   arena_.for_each([&](ClauseRef r) {
-    if (!arena_.learned(r) || satisfied_at_level0(r)) return;
-    sp.clauses.push_back(canonical_clause(arena_.lits(r), bits));
+    if (arena_.learned(r) && !satisfied_at_level0(r)) ship(r);
   });
   return sp;
 }
@@ -1378,8 +1409,7 @@ void CdclSolver::import_clauses(std::vector<cnf::Clause> clauses) {
 }
 
 std::vector<SubproblemUnit> CdclSolver::level0_units() const {
-  const std::size_t level0_end =
-      trail_lim_.empty() ? trail_.size() : trail_lim_[0];
+  const std::size_t level0_end = level0_size();
   std::vector<SubproblemUnit> units;
   units.reserve(level0_end);
   for (std::size_t i = 0; i < level0_end; ++i) {
@@ -1394,7 +1424,8 @@ std::vector<cnf::Clause> CdclSolver::learned_clauses(std::size_t max_len) const 
   arena_.for_each([&](ClauseRef r) {
     if (!arena_.learned(r)) return;
     if (max_len != 0 && arena_.size(r) > max_len) return;
-    out.push_back(canonical_clause(arena_.lits(r), bits));
+    cnf::Clause& c = out.emplace_back(arena_.size(r));
+    c.resize(write_canonical(arena_.lits(r), bits, c.data()));
   });
   return out;
 }

@@ -145,8 +145,8 @@ struct SolverConfig {
   /// Locality-aware arena compaction on reduce_db(): rewrite survivors in
   /// watcher-traversal order (problem clauses first, then learned, glue
   /// first) instead of preserving allocation order, so late-run watcher
-  /// scans stay cache-resident. Falls back to in-place gc() under memory
-  /// pressure (the ordered rewrite transiently doubles the footprint).
+  /// scans stay cache-resident. Falls back to the allocation-order gc()
+  /// under memory pressure.
   bool arena_compact = true;
 
   /// Accumulate wall time spent inside propagate() into
@@ -309,6 +309,11 @@ class CdclSolver {
   // --- Level-0 state (checkpoints §3.4, termination, tests) ------------
 
   [[nodiscard]] std::vector<SubproblemUnit> level0_units() const;
+  /// Length of the level-0 trail prefix: level0_units().size() without
+  /// building the vector.
+  [[nodiscard]] std::size_t level0_size() const noexcept {
+    return trail_lim_.empty() ? trail_.size() : trail_lim_[0];
+  }
 
   /// All live learned clauses with at most `max_len` literals
   /// (max_len = 0 means no limit), each with strictly ascending literal
@@ -350,6 +355,14 @@ class CdclSolver {
   }
   [[nodiscard]] bool tainted(cnf::Var v) const noexcept {
     return vars_[v].taint != 0;
+  }
+
+  /// Visit every live clause in arena order: fn(literals in storage
+  /// order, learned flag). Tests check what a ship carries against it.
+  template <class Fn>
+  void for_each_clause(Fn&& fn) const {
+    arena_.for_each(
+        [&](ClauseRef r) { fn(arena_.lits(r), arena_.learned(r)); });
   }
 
   /// Debug invariant check: watched pairs sane, trail consistent. Returns
@@ -403,7 +416,9 @@ class CdclSolver {
     ClauseRef cref;
   };
 
-  void init(cnf::Var num_vars, const std::vector<cnf::Clause>& clauses,
+  /// `clauses` is a std::vector<cnf::Clause> or a cnf::ClausePool.
+  template <class Clauses>
+  void init(cnf::Var num_vars, const Clauses& clauses,
             std::size_t num_problem_clauses,
             const std::vector<SubproblemUnit>& units);
 
@@ -452,9 +467,16 @@ class CdclSolver {
   /// to_subproblem() and learned_clauses() emit) skips the copy and the
   /// sort; the stored clause is the same either way.
   /// `new_ref` (optional) receives the allocated clause ref, or kNoClause
-  /// when the clause was pruned, became a unit, or conflicted.
-  bool add_clause_at_level0(const cnf::Clause& clause, bool learned,
-                            ClauseRef* new_ref = nullptr);
+  /// when the clause was pruned, became a unit, or conflicted. With
+  /// `attach_now` false the stored clause is left for the caller to
+  /// attach (init() attaches a whole clause set at once).
+  bool add_clause_at_level0(std::span<const cnf::Lit> clause, bool learned,
+                            ClauseRef* new_ref = nullptr,
+                            bool attach_now = true);
+  /// Attach `crefs` in order, each watch list sized once up front: the
+  /// lists end up as attach() one by one would leave them, minus the
+  /// regrowth.
+  void attach_all(std::span<const ClauseRef> crefs);
 
   // Maintenance.
   void reduce_db();
@@ -463,7 +485,7 @@ class CdclSolver {
   /// Drop clauses satisfied at level 0 (false literals stay put);
   /// false => UNSAT.
   bool simplify_at_level0();
-  /// In-place arena compaction (order-preserving). Safe at any decision
+  /// Arena compaction (order-preserving). Safe at any decision
   /// level: the remap rewrites both watch stores and the reason of every
   /// trail literal, and backtrack() clears reasons of unassigned
   /// variables, so no stale ref survives. reduce_db() relies on this
@@ -553,7 +575,9 @@ class CdclSolver {
   double activity_inc_ = 1.0;
   double clause_activity_inc_ = 1.0;
 
-  // Analysis scratch.
+  // Analysis scratch. learned_ is the clause analyze() derives, reused
+  // across conflicts instead of regrown on each.
+  std::vector<cnf::Lit> learned_;
   std::vector<std::uint8_t> seen_;
   std::vector<cnf::Lit> analyze_clear_;
   /// Per-level stamps for compute_lbd(): level L was counted for the
@@ -591,10 +615,12 @@ class CdclSolver {
   };
   std::vector<OtfJob> otf_jobs_;
 
-  // add_clause_at_level0() scratch: the sorted copy of unsorted input and
-  // the literals that survive level-0 facts.
+  // add_clause_at_level0() scratch: the sorted copy of unsorted input, the
+  // literals that survive level-0 facts, and the tainted-false ones among
+  // them.
   std::vector<cnf::Lit> add_lits_;
   std::vector<cnf::Lit> add_kept_;
+  std::vector<cnf::Lit> add_tainted_false_;
 
   // Restart / reduce schedule.
   std::uint64_t conflicts_until_restart_ = 0;

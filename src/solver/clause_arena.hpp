@@ -22,16 +22,19 @@
 // word advances the cursor by one. Pads count as garbage and vanish at
 // the next compaction.
 //
-// Deletion marks the clause and counts its bytes as garbage. Compaction
-// rewrites all external references through a remap table and is safe at
-// any decision level (the solver remaps watch lists and every trail
-// reason). Two flavors: gc() compacts in place preserving allocation
-// order; gc_ordered() rebuilds the arena in a caller-chosen order (the
-// locality pass reduce_db() uses to keep hot clauses adjacent).
-// Live-byte accounting feeds the GridSAT client's memory monitor.
+// Deletion marks the clause, overwrites its activity word with kNoClause
+// and counts its bytes as garbage. Compaction is one copying pass into a
+// right-sized buffer; it writes each live clause's new ref into the old
+// buffer's activity word (a forwarding ref), so the returned Remap, which
+// keeps the old buffer, maps any old ref with one load. Callers rewrite
+// all external references through it; that is safe at any decision level
+// (the solver remaps watch lists and every trail reason). Two orders:
+// gc() keeps allocation order; gc_ordered() lays clauses out in a
+// caller-chosen order (the locality pass reduce_db() uses to keep hot
+// clauses adjacent). Live-byte accounting feeds the GridSAT client's
+// memory monitor.
 #pragma once
 
-#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
@@ -63,12 +66,14 @@ class ClauseArena {
   /// learner calls set_lbd() with the measured value.
   ClauseRef alloc(std::span<const cnf::Lit> lits, bool learned) {
     assert(!lits.empty());
+    static_assert(sizeof(cnf::Lit) == sizeof(std::uint32_t));
     const ClauseRef ref = static_cast<ClauseRef>(data_.size());
-    data_.push_back((static_cast<std::uint32_t>(lits.size()) << 4) |
-                    (learned ? 1u : 0u));
-    data_.push_back(float_bits(0.0f));
-    data_.push_back(static_cast<std::uint32_t>(lits.size()));
-    for (const cnf::Lit l : lits) data_.push_back(l.code());
+    const std::uint32_t header[kHeaderWords] = {
+        (static_cast<std::uint32_t>(lits.size()) << 4) | (learned ? 1u : 0u),
+        float_bits(0.0f), static_cast<std::uint32_t>(lits.size())};
+    data_.insert(data_.end(), header, header + kHeaderWords);
+    const auto* codes = reinterpret_cast<const std::uint32_t*>(lits.data());
+    data_.insert(data_.end(), codes, codes + lits.size());
     live_words_ += kHeaderWords + lits.size();
     if (learned) ++num_learned_;
     else ++num_problem_;
@@ -149,10 +154,12 @@ class ClauseArena {
     ++garbage_words_;
   }
 
-  /// Mark deleted; bytes counted as garbage until gc().
+  /// Mark deleted; bytes counted as garbage until gc(). The activity word
+  /// becomes the clause's forwarding ref, kNoClause (see Remap).
   void free(ClauseRef r) {
     assert(!deleted(r));
     data_[r] |= 2u;
+    data_[r + 1] = kNoClause;
     garbage_words_ += kHeaderWords + size(r);
     live_words_ -= kHeaderWords + size(r);
     if (learned(r)) --num_learned_;
@@ -186,78 +193,59 @@ class ClauseArena {
     }
   }
 
-  /// Old-ref -> new-ref table produced by gc(). Deleted refs map to
-  /// kNoClause; the sentinel reasons map to themselves.
+  /// Old-ref -> new-ref map produced by gc() and gc_ordered(). It holds
+  /// the pre-compaction buffer, whose activity word of each clause is the
+  /// clause's forwarding ref: its new ref, or kNoClause once deleted. The
+  /// sentinel reasons map to themselves.
   class Remap {
    public:
     [[nodiscard]] ClauseRef operator()(ClauseRef old_ref) const {
       if (old_ref == kNoClause || old_ref == kDecisionReason) return old_ref;
-      const auto it = std::lower_bound(
-          pairs_.begin(), pairs_.end(), old_ref,
-          [](const auto& p, ClauseRef key) { return p.first < key; });
-      if (it == pairs_.end() || it->first != old_ref) return kNoClause;
-      return it->second;
+      return old_[old_ref + 1];
     }
 
    private:
     friend class ClauseArena;
-    std::vector<std::pair<ClauseRef, ClauseRef>> pairs_;  // sorted by first
+    std::vector<std::uint32_t> old_;
   };
 
-  /// Compact the arena in place, preserving allocation order; callers
-  /// rewrite watch lists and reasons through the returned remap.
+  /// Compact preserving allocation order; callers rewrite watch lists and
+  /// reasons through the returned remap.
   Remap gc() {
-    Remap remap;
-    remap.pairs_.reserve(num_learned_ + num_problem_);
-    std::size_t write = 0;
-    ClauseRef r = 0;
-    while (r < data_.size()) {
-      if (data_[r] & 4u) {  // strengthening pad: dropped by compaction
-        ++r;
-        continue;
-      }
-      const std::uint32_t words = kHeaderWords + size(r);
-      if (!deleted(r)) {
-        remap.pairs_.emplace_back(r, static_cast<ClauseRef>(write));
-        if (write != r) {
-          std::memmove(&data_[write], &data_[r], words * sizeof(std::uint32_t));
-        }
-        write += words;
-      }
-      r += words;
-    }
-    data_.resize(write);
-    data_.shrink_to_fit();
-    garbage_words_ = 0;
-    return remap;
+    return compact([this](auto&& copy) { for_each(copy); });
   }
 
-  /// Rebuild the arena with the live clauses laid out in the caller-given
-  /// order (the locality pass: problem clauses first, then learned by
-  /// glue). `order` must list every live clause exactly once. Unlike
-  /// gc(), this builds a fresh buffer (transiently ~2x the live bytes),
-  /// so callers under memory pressure should prefer gc().
+  /// Compact with the live clauses laid out in the caller-given order
+  /// (the locality pass: problem clauses first, then learned by glue).
+  /// `order` must list every live clause exactly once.
   Remap gc_ordered(std::span<const ClauseRef> order) {
-    Remap remap;
-    remap.pairs_.reserve(order.size());
-    std::vector<std::uint32_t> fresh;
-    fresh.reserve(live_words_);
-    for (const ClauseRef r : order) {
-      assert(!deleted(r) && (data_[r] & 4u) == 0);
-      const std::uint32_t words = kHeaderWords + size(r);
-      remap.pairs_.emplace_back(r, static_cast<ClauseRef>(fresh.size()));
-      fresh.insert(fresh.end(), data_.begin() + r, data_.begin() + r + words);
-    }
-    assert(fresh.size() == live_words_ && "order must cover every live clause");
-    data_ = std::move(fresh);
-    garbage_words_ = 0;
-    // Remap lookup binary-searches by old ref; order is caller-chosen, so
-    // re-sort the pairs by their old ref.
-    std::sort(remap.pairs_.begin(), remap.pairs_.end());
-    return remap;
+    return compact([order](auto&& copy) {
+      for (const ClauseRef r : order) copy(r);
+    });
   }
 
  private:
+  /// The one compaction pass: `each_live(copy)` calls copy(r) on every
+  /// live clause in the new layout order. The fresh buffer is sized to
+  /// the live words exactly, and the old one moves into the Remap.
+  template <class EachLive>
+  Remap compact(EachLive&& each_live) {
+    std::vector<std::uint32_t> fresh;
+    fresh.reserve(live_words_);
+    each_live([&](ClauseRef r) {
+      assert(!deleted(r) && (data_[r] & 4u) == 0);
+      const std::uint32_t words = kHeaderWords + size(r);
+      const auto moved = static_cast<ClauseRef>(fresh.size());
+      fresh.insert(fresh.end(), data_.begin() + r, data_.begin() + r + words);
+      data_[r + 1] = moved;
+    });
+    assert(fresh.size() == live_words_ && "order must cover every live clause");
+    Remap remap;
+    remap.old_ = std::exchange(data_, std::move(fresh));
+    garbage_words_ = 0;
+    return remap;
+  }
+
   static std::uint32_t float_bits(float f) {
     std::uint32_t b;
     static_assert(sizeof b == sizeof f);

@@ -67,7 +67,7 @@ ParallelResult ParallelSolver::solve() {
   // Seed the queue with the whole problem.
   Subproblem root;
   root.num_vars = formula_.num_vars();
-  root.clauses = formula_.clauses();
+  root.clauses = cnf::ClausePool(formula_.clauses());
   root.num_problem_clauses = root.clauses.size();
   root.path = "root";
   push_work(std::move(root));

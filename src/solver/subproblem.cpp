@@ -1,6 +1,6 @@
 #include "solver/subproblem.hpp"
 
-#include <algorithm>
+#include <bit>
 
 namespace gridsat::solver {
 
@@ -72,41 +72,53 @@ Subproblem Subproblem::from_bytes(const std::vector<std::uint8_t>& bytes) {
 }
 
 void Subproblem::rehydrate(std::span<const cnf::Clause> base) {
-  clauses.insert(clauses.begin(), base.begin(), base.end());
+  cnf::ClausePool spliced(base);
+  spliced.reserve(base.size() + clauses.size(),
+                  spliced.num_lits() + clauses.num_lits());
+  spliced.append(clauses, 0, clauses.size());
+  clauses = std::move(spliced);
   num_problem_clauses = base.size();
   needs_base = false;
 }
 
 std::size_t Subproblem::trim_learned(std::size_t budget_bytes) {
   const auto first = static_cast<std::size_t>(num_problem_clauses);
-  if (first >= clauses.size()) return 0;
-  std::stable_sort(clauses.begin() + static_cast<std::ptrdiff_t>(first),
-                   clauses.end(),
-                   [](const cnf::Clause& a, const cnf::Clause& b) {
-                     return a.size() < b.size();
-                   });
+  const std::size_t count = clauses.size();
+  if (first >= count) return 0;
+  // Shortest first, stable: order the learned clauses' indices by length
+  // and move literals only once, when the kept block is written back.
+  const std::vector<std::uint32_t> order =
+      cnf::order_by_length(clauses.slice(first, count));
   // Literal cost is over-estimated (raw literal-code varints; the gap
   // encoding on the wire is never larger), and the 1 byte per clause
   // covers each run's count varint. Only the stream count and each run's
   // length varint go uncharged, so the block can exceed the budget by
   // varint(count) + varint(len) per distinct length (see trim_learned).
-  const auto varint_size = [](std::uint64_t v) {
-    std::size_t n = 1;
-    while ((v >>= 7) != 0) ++n;
-    return n;
+  const auto varint_size = [](std::uint32_t v) {
+    return static_cast<std::size_t>(std::bit_width(v | 1u) + 6) / 7;
   };
   std::size_t spent = 0;
-  std::size_t keep = first;
-  while (keep < clauses.size()) {
+  std::size_t keep = 0;
+  std::size_t kept_lits = 0;
+  while (keep < order.size()) {
+    const std::span<const cnf::Lit> clause = clauses[first + order[keep]];
     std::size_t cost = 1;  // covers its share of the run count varint
-    for (const cnf::Lit l : clauses[keep]) cost += varint_size(l.code());
+    for (const cnf::Lit l : clause) cost += varint_size(l.code());
     if (spent + cost > budget_bytes) break;
     spent += cost;
+    kept_lits += clause.size();
     ++keep;
   }
-  const std::size_t dropped = clauses.size() - keep;
-  clauses.resize(keep);
-  return dropped;
+  // Rebuild right-sized: the problem block in one copy, then the kept
+  // learned clauses shortest first.
+  cnf::ClausePool trimmed;
+  trimmed.reserve(first + keep, clauses.lit_offset(first) + kept_lits);
+  trimmed.append(clauses, 0, first);
+  for (std::size_t k = 0; k < keep; ++k) {
+    trimmed.push_back(clauses[first + order[k]]);
+  }
+  clauses = std::move(trimmed);
+  return order.size() - keep;
 }
 
 }  // namespace gridsat::solver

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "cnf/clause_pool.hpp"
 #include "cnf/formula.hpp"
 #include "cnf/wire.hpp"
 #include "util/bytes.hpp"
@@ -54,8 +55,10 @@ struct Subproblem {
   /// clauses plus the learned clauses the splitting client passes along.
   /// All are valid for the original formula. The first
   /// `num_problem_clauses` entries are problem clauses (never deleted by
-  /// DB reduction); the rest are learned and reducible.
-  std::vector<cnf::Clause> clauses;
+  /// DB reduction); the rest are learned and reducible. One flat pool:
+  /// building, sizing and rebuilding a ship allocate per list, not per
+  /// clause.
+  cnf::ClausePool clauses;
   std::uint64_t num_problem_clauses = 0;
   /// The *pure* guiding-path assumptions: the split decisions themselves,
   /// in split order, without the tainted consequences that `units` also
@@ -121,12 +124,11 @@ struct Subproblem {
     cnf::encode_lit_array(out, std::span<const cnf::Lit>(assumptions));
     out.str(path);
     out.u64(base_fingerprint);
-    const std::span<const cnf::Clause> all(clauses);
     const auto split = static_cast<std::size_t>(num_problem_clauses);
     if (mode == WireMode::kFull) {
-      cnf::encode_clause_stream(out, all.subspan(0, split));
+      cnf::encode_clause_stream(out, clauses.slice(0, split));
     }
-    cnf::encode_clause_stream(out, all.subspan(split));
+    cnf::encode_clause_stream(out, clauses.slice(split, clauses.size()));
   }
 
   void serialize(util::ByteWriter& out, WireMode mode = WireMode::kFull) const;

@@ -181,7 +181,7 @@ TEST(ProtocolTest, FuzzNeverCrashes) {
   const auto f = gen::pigeonhole_unsat(4);
   SubproblemMsg msg;
   msg.subproblem.num_vars = f.num_vars();
-  msg.subproblem.clauses = f.clauses();
+  msg.subproblem.clauses = cnf::ClausePool(f.clauses());
   msg.subproblem.num_problem_clauses = f.num_clauses();
   auto frame = encode(Message{msg});
   for (int i = 0; i < 300; ++i) {

@@ -1,6 +1,6 @@
 // Direct unit tests for the clause arena: allocation layout, byte
-// accounting, deletion/garbage collection with remapping, activity
-// storage, and iteration.
+// accounting, deletion/garbage collection with forwarding remaps,
+// activity storage, and iteration.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -188,7 +188,7 @@ TEST(ClauseArenaTest, GcOrderedRewritesInCallerOrder) {
   EXPECT_TRUE(arena.learned(remap(c)));
   EXPECT_FALSE(arena.learned(remap(d)));
   // The remap stays queryable by old ref even though the caller's order
-  // was not address order (lookup re-sorts internally).
+  // was not address order (each old clause holds its forwarding ref).
   EXPECT_EQ(remap(kNoClause), kNoClause);
   std::vector<ClauseRef> seen;
   arena.for_each([&](ClauseRef r) { seen.push_back(r); });
@@ -206,6 +206,82 @@ TEST(ClauseArenaTest, GcOrderedPreservesActivityAndLbd) {
   EXPECT_FLOAT_EQ(arena.activity(remap(a)), 1.25f);
   EXPECT_EQ(arena.lbd(remap(a)), 2u);
   EXPECT_FLOAT_EQ(arena.activity(remap(b)), 7.5f);
+}
+
+/// Arena contents by ref, read before a compaction, to check each
+/// forwarded ref against after it.
+std::vector<std::vector<Lit>> contents(const ClauseArena& arena,
+                                       const std::vector<ClauseRef>& refs) {
+  std::vector<std::vector<Lit>> out;
+  for (const ClauseRef r : refs) {
+    const auto span = arena.lits(r);
+    out.emplace_back(span.begin(), span.end());
+  }
+  return out;
+}
+
+/// Five clauses: b and d deleted, c and e shortened by remove_lit() so
+/// pad words sit behind them.
+struct MixedArena {
+  ClauseArena arena;
+  ClauseRef a, b, c, d, e;
+  MixedArena() {
+    a = arena.alloc(lits({1, 2}), false);
+    b = arena.alloc(lits({3, 4, 5}), true);
+    c = arena.alloc(lits({6, 7, 8, 9}), true);
+    d = arena.alloc(lits({10, 11}), true);
+    e = arena.alloc(lits({12, 13, 14}), false);
+    arena.remove_lit(c, 1);
+    arena.remove_lit(e, 0);
+    arena.free(b);
+    arena.free(d);
+  }
+};
+
+TEST(ClauseArenaTest, GcForwardsLiveDeletedAndSentinelRefs) {
+  MixedArena m;
+  const std::vector<ClauseRef> live{m.a, m.c, m.e};
+  const auto before = contents(m.arena, live);
+  const auto remap = m.arena.gc();
+  // Allocation order, packed: pads and deleted clauses are gone.
+  EXPECT_EQ(remap(m.a), 0u);
+  EXPECT_EQ(remap(m.c), ClauseArena::kHeaderWords + 2);
+  EXPECT_EQ(remap(m.e), 2 * ClauseArena::kHeaderWords + 2 + 3);
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    const auto span = m.arena.lits(remap(live[i]));
+    EXPECT_EQ(std::vector<Lit>(span.begin(), span.end()), before[i]);
+  }
+  EXPECT_EQ(remap(m.b), kNoClause);
+  EXPECT_EQ(remap(m.d), kNoClause);
+  EXPECT_EQ(remap(kNoClause), kNoClause);
+  EXPECT_EQ(remap(kDecisionReason), kDecisionReason);
+  EXPECT_EQ(m.arena.total_bytes(), m.arena.live_bytes());
+}
+
+TEST(ClauseArenaTest, GcOrderedForwardsUnderAPermutation) {
+  MixedArena m;
+  const std::vector<ClauseRef> order{m.e, m.a, m.c};
+  const auto before = contents(m.arena, order);
+  const auto remap = m.arena.gc_ordered(order);
+  // Laid out exactly in the given order, packed.
+  ClauseRef expect = 0;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(remap(order[i]), expect);
+    const auto span = m.arena.lits(remap(order[i]));
+    EXPECT_EQ(std::vector<Lit>(span.begin(), span.end()), before[i]);
+    expect += ClauseArena::kHeaderWords +
+              static_cast<ClauseRef>(before[i].size());
+  }
+  EXPECT_EQ(remap(m.b), kNoClause);
+  EXPECT_EQ(remap(m.d), kNoClause);
+  EXPECT_EQ(remap(kNoClause), kNoClause);
+  EXPECT_EQ(remap(kDecisionReason), kDecisionReason);
+  EXPECT_TRUE(m.arena.learned(remap(m.c)));
+  EXPECT_FALSE(m.arena.learned(remap(m.e)));
+  std::vector<ClauseRef> seen;
+  m.arena.for_each([&](ClauseRef r) { seen.push_back(r); });
+  EXPECT_EQ(seen, (std::vector<ClauseRef>{remap(m.e), remap(m.a),
+                                          remap(m.c)}));
 }
 
 TEST(ClauseArenaTest, CountsTrackLearnedAndProblem) {

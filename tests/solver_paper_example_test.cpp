@@ -142,7 +142,7 @@ TEST_F(PaperExampleTest, Figure2SplitPrunesAsDescribed) {
   // the donor's level 0).
   EXPECT_LT(branch_b.clauses.size(), clauses_before + 1);
   for (const auto& clause : branch_b.clauses) {
-    EXPECT_FALSE(clause == cnf::Clause{Lit(14, false)})
+    EXPECT_FALSE(std::ranges::equal(clause, cnf::Clause{Lit(14, false)}))
         << "clause 9 should have been pruned from the split payload";
   }
 

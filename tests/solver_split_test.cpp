@@ -328,13 +328,14 @@ TEST(MigrationTest, MigratedStateKeepsLearnedClauses) {
       << "learned clauses should ride along in a migration";
 }
 
-bool strictly_ascending(const cnf::Clause& c) {
+bool strictly_ascending(std::span<const Lit> c) {
   return std::adjacent_find(c.begin(), c.end(), [](Lit a, Lit b) {
            return !(a < b);
          }) == c.end();
 }
 
-bool all_strictly_ascending(const std::vector<cnf::Clause>& clauses) {
+template <class Clauses>
+bool all_strictly_ascending(const Clauses& clauses) {
   return std::all_of(clauses.begin(), clauses.end(), strictly_ascending);
 }
 
@@ -352,7 +353,7 @@ TEST(CanonicalShipTest, ShippedClausesHaveAscendingCodes) {
     CdclSolver solver(f);
     std::vector<cnf::Clause> expected = f.clauses();
     for (cnf::Clause& c : expected) std::sort(c.begin(), c.end());
-    EXPECT_EQ(solver.to_subproblem().clauses, expected);
+    EXPECT_EQ(solver.to_subproblem().clauses, cnf::ClausePool(expected));
 
     (void)solver.solve(30'000);
     const auto other = advance_and_split(solver, 2000);
@@ -378,10 +379,13 @@ TEST(CanonicalShipTest, ShuffledShipRebuildsIdentically) {
     const auto shipped = advance_and_split(donor, 2000);
     ASSERT_TRUE(shipped.has_value());
     Subproblem shuffled = *shipped;
-    for (std::size_t i = 0; i < shuffled.clauses.size(); ++i) {
-      cnf::Clause& c = shuffled.clauses[i];
+    shuffled.clauses = cnf::ClausePool();
+    for (std::size_t i = 0; i < shipped->clauses.size(); ++i) {
+      const std::span<const Lit> lits = shipped->clauses[i];
+      cnf::Clause c(lits.begin(), lits.end());
       if (i % 5 == 0) c.push_back(c.front());
       util::shuffle(c, rng);
+      shuffled.clauses.push_back(c);
     }
     CdclSolver canonical(*shipped);
     CdclSolver rebuilt(shuffled);
@@ -391,6 +395,44 @@ TEST(CanonicalShipTest, ShuffledShipRebuildsIdentically) {
     EXPECT_EQ(canonical.stats().propagations, rebuilt.stats().propagations);
     EXPECT_EQ(canonical.stats().work, rebuilt.stats().work);
     EXPECT_EQ(canonical.to_subproblem(), rebuilt.to_subproblem());
+  }
+}
+
+TEST(CanonicalShipTest, PoolMatchesCanonicalizedArenaClauses) {
+  // The pool to_subproblem() writes must hold exactly the clauses a
+  // per-clause copy would: every arena clause not satisfied at level 0,
+  // sorted and deduplicated, problem clauses first, each block in arena
+  // order.
+  for (const CnfFormula& f : ship_formulas()) {
+    CdclSolver solver(f);
+    (void)solver.solve(30'000);
+    ASSERT_TRUE(advance_and_split(solver, 2000).has_value());
+    std::vector<cnf::Clause> problem;
+    std::vector<cnf::Clause> learned;
+    solver.for_each_clause([&](std::span<const Lit> lits, bool is_learned) {
+      for (const Lit l : lits) {
+        if (solver.value(l) == cnf::LBool::kTrue &&
+            solver.level_of(l.var()) == 0) {
+          return;
+        }
+      }
+      cnf::Clause c(lits.begin(), lits.end());
+      std::sort(c.begin(), c.end());
+      c.erase(std::unique(c.begin(), c.end()), c.end());
+      (is_learned ? learned : problem).push_back(std::move(c));
+    });
+    const Subproblem sp = solver.to_subproblem();
+    ASSERT_EQ(sp.num_problem_clauses, problem.size());
+    ASSERT_EQ(sp.clauses.size(), problem.size() + learned.size());
+    EXPECT_FALSE(learned.empty());
+    for (std::size_t i = 0; i < sp.clauses.size(); ++i) {
+      const cnf::Clause& want = i < problem.size()
+                                    ? problem[i]
+                                    : learned[i - problem.size()];
+      const std::span<const Lit> got = sp.clauses[i];
+      ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+          << "clause " << i;
+    }
   }
 }
 

@@ -52,6 +52,32 @@ const char* const kGoldenRegisterFrame =
 const char* const kGoldenCheckpointAckFrame =
     "021006000000070000000309";
 
+/// One pooled clause as a vector, for comparisons.
+cnf::Clause clause_at(const cnf::ClausePool& pool, std::size_t i) {
+  const std::span<const Lit> c = pool[i];
+  return {c.begin(), c.end()};
+}
+
+/// Clauses [first, last) of a pool as vectors.
+std::vector<cnf::Clause> clauses_of(const cnf::ClausePool& pool,
+                                    std::size_t first, std::size_t last) {
+  std::vector<cnf::Clause> out;
+  for (std::size_t i = first; i < last; ++i) out.push_back(clause_at(pool, i));
+  return out;
+}
+
+/// A copy of `pool` with `edit` applied to each clause.
+template <class Edit>
+cnf::ClausePool edited(const cnf::ClausePool& pool, Edit edit) {
+  cnf::ClausePool out;
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    cnf::Clause c = clause_at(pool, i);
+    edit(c);
+    out.push_back(c);
+  }
+  return out;
+}
+
 std::vector<std::uint8_t> from_hex(const char* hex) {
   const std::string s(hex);
   std::vector<std::uint8_t> bytes;
@@ -99,8 +125,7 @@ TEST(GoldenBytesTest, SubproblemBaseRefMatchesFixture) {
   EXPECT_EQ(back.num_problem_clauses, 0u);
   EXPECT_EQ(back.base_fingerprint, sp.base_fingerprint);
   // Splicing the problem block back in restores the full payload.
-  const std::vector<cnf::Clause> base(sp.clauses.begin(),
-                                      sp.clauses.begin() + 2);
+  const std::vector<cnf::Clause> base = clauses_of(sp.clauses, 0, 2);
   back.rehydrate(base);
   EXPECT_EQ(back, sp);
 }
@@ -171,15 +196,19 @@ solver::Subproblem random_subproblem(util::Xoshiro256& rng) {
   return sp;
 }
 
-std::size_t learned_block_bytes(std::span<const cnf::Clause> learned) {
+template <class Clauses>
+std::size_t learned_block_bytes(const Clauses& learned) {
   util::ByteCounter counter;
   cnf::encode_clause_stream(counter, learned);
   return counter.size();
 }
 
-std::size_t distinct_lengths(std::span<const cnf::Clause> clauses) {
+template <class Clauses>
+std::size_t distinct_lengths(const Clauses& clauses) {
   std::set<std::size_t> lengths;
-  for (const cnf::Clause& c : clauses) lengths.insert(c.size());
+  for (std::size_t i = 0; i < clauses.size(); ++i) {
+    lengths.insert(clauses[i].size());
+  }
   return lengths.size();
 }
 
@@ -211,8 +240,8 @@ TEST(WirePropertyTest, SubproblemWireSizeEqualsSerializedSize) {
     solver::Subproblem trimmed = sp;
     const auto budget = static_cast<std::size_t>(i);
     trimmed.trim_learned(budget);
-    const auto learned = std::span<const cnf::Clause>(trimmed.clauses)
-                             .subspan(trimmed.num_problem_clauses);
+    const auto learned = trimmed.clauses.slice(trimmed.num_problem_clauses,
+                                               trimmed.clauses.size());
     EXPECT_LE(learned_block_bytes(learned),
               trim_bound(budget, learned.size(), distinct_lengths(learned)))
         << "iteration " << i;
@@ -223,12 +252,11 @@ TEST(WirePropertyTest, BaseRefFormDropsOnlyTheProblemBlock) {
   util::Xoshiro256 rng(3030);
   for (int i = 0; i < 200; ++i) {
     const solver::Subproblem sp = random_subproblem(rng);
-    const auto all = std::span<const cnf::Clause>(sp.clauses);
     const auto split = static_cast<std::size_t>(sp.num_problem_clauses);
     // The two forms differ by exactly the encoded problem-clause block.
     EXPECT_EQ(sp.wire_size(solver::WireMode::kFull),
               sp.wire_size(solver::WireMode::kBaseRef) +
-                  learned_block_bytes(all.subspan(0, split)))
+                  learned_block_bytes(sp.clauses.slice(0, split)))
         << "iteration " << i;
     // Splicing the base back into a decoded base-ref payload restores
     // exactly what the full form decodes to.
@@ -238,8 +266,7 @@ TEST(WirePropertyTest, BaseRefFormDropsOnlyTheProblemBlock) {
         solver::Subproblem::from_bytes(sp.to_bytes(solver::WireMode::kBaseRef));
     ASSERT_TRUE(ref.needs_base) << "iteration " << i;
     EXPECT_EQ(ref.num_problem_clauses, 0u) << "iteration " << i;
-    const auto full_clauses = std::span<const cnf::Clause>(full.clauses);
-    ref.rehydrate(full_clauses.subspan(0, full.num_problem_clauses));
+    ref.rehydrate(clauses_of(full.clauses, 0, full.num_problem_clauses));
     EXPECT_EQ(ref, full) << "iteration " << i;
   }
 }
@@ -251,9 +278,12 @@ TEST(WirePropertyTest, SortedAndShuffledClausesEncodeIdentically) {
   util::Xoshiro256 rng(4242);
   for (int i = 0; i < 200; ++i) {
     solver::Subproblem sorted = random_subproblem(rng);
-    for (cnf::Clause& c : sorted.clauses) std::sort(c.begin(), c.end());
+    sorted.clauses = edited(sorted.clauses, [](cnf::Clause& c) {
+      std::sort(c.begin(), c.end());
+    });
     solver::Subproblem shuffled = sorted;
-    for (cnf::Clause& c : shuffled.clauses) util::shuffle(c, rng);
+    shuffled.clauses = edited(shuffled.clauses,
+                              [&](cnf::Clause& c) { util::shuffle(c, rng); });
     for (const auto mode :
          {solver::WireMode::kFull, solver::WireMode::kBaseRef}) {
       EXPECT_EQ(sorted.to_bytes(mode), shuffled.to_bytes(mode))
@@ -328,8 +358,8 @@ TEST(CheckpointChainTest, RestoreChainReplaysBaseAndDeltas) {
   EXPECT_EQ(sp.assumptions, delta.assumptions);
   EXPECT_EQ(sp.num_problem_clauses, f.num_clauses());
   ASSERT_EQ(sp.clauses.size(), f.num_clauses() + 2);
-  EXPECT_EQ(sp.clauses[f.num_clauses()], full.learned[0]);
-  EXPECT_EQ(sp.clauses[f.num_clauses() + 1], delta.learned[0]);
+  EXPECT_EQ(clause_at(sp.clauses, f.num_clauses()), full.learned[0]);
+  EXPECT_EQ(clause_at(sp.clauses, f.num_clauses() + 1), delta.learned[0]);
 }
 
 TEST(CheckpointChainTest, SingleFullChainMatchesDirectRestore) {
@@ -436,8 +466,9 @@ TEST(SubproblemTrimTest, KeepsProblemBlockAndShortestLearned) {
   // Problem block untouched, in order; kept learned sorted shortest-first.
   EXPECT_EQ(sp.clauses[0].size(), 2u);
   EXPECT_EQ(sp.clauses[1].size(), 3u);
-  EXPECT_EQ(sp.clauses[2], (cnf::Clause{Lit(6, false)}));
-  EXPECT_EQ(sp.clauses[3], (cnf::Clause{Lit(7, false), Lit(8, true)}));
+  EXPECT_EQ(clause_at(sp.clauses, 2), (cnf::Clause{Lit(6, false)}));
+  EXPECT_EQ(clause_at(sp.clauses, 3),
+            (cnf::Clause{Lit(7, false), Lit(8, true)}));
   EXPECT_LT(sp.wire_size(), full);
   // A roomy budget drops nothing further.
   EXPECT_EQ(sp.trim_learned(1u << 20), 0u);
@@ -459,6 +490,66 @@ TEST(SubproblemTrimTest, BlockCanExceedBudgetByRunHeaders) {
   const std::size_t bytes = learned_block_bytes(sp.clauses);
   EXPECT_EQ(bytes, 13u);
   EXPECT_LE(bytes, trim_bound(9, 3, 3));
+}
+
+TEST(SubproblemTrimTest, MatchesStableSortByLengthReference) {
+  // Reference: the learned clauses as vectors, std::stable_sort by
+  // length, then the longest prefix the cost model affords.
+  const auto cost = [](const cnf::Clause& c) {
+    std::size_t bytes = 1;
+    for (const Lit l : c) {
+      util::ByteCounter varint;
+      varint.var_u64(l.code());
+      bytes += varint.size();
+    }
+    return bytes;
+  };
+  util::Xoshiro256 rng(5150);
+  for (int i = 0; i < 100; ++i) {
+    const solver::Subproblem sp = random_subproblem(rng);
+    const std::size_t first = sp.num_problem_clauses;
+    std::vector<cnf::Clause> learned =
+        clauses_of(sp.clauses, first, sp.clauses.size());
+    std::stable_sort(learned.begin(), learned.end(),
+                     [](const cnf::Clause& a, const cnf::Clause& b) {
+                       return a.size() < b.size();
+                     });
+    for (const std::size_t budget : {0, 3, 17, 64, 200, 1 << 20}) {
+      std::size_t keep = 0;
+      for (std::size_t spent = 0; keep < learned.size(); ++keep) {
+        if (spent + cost(learned[keep]) > budget) break;
+        spent += cost(learned[keep]);
+      }
+      solver::Subproblem trimmed = sp;
+      EXPECT_EQ(trimmed.trim_learned(budget), learned.size() - keep);
+      ASSERT_EQ(trimmed.num_problem_clauses, first);
+      EXPECT_EQ(clauses_of(trimmed.clauses, 0, first),
+                clauses_of(sp.clauses, 0, first));
+      EXPECT_EQ(clauses_of(trimmed.clauses, first, trimmed.clauses.size()),
+                std::vector<cnf::Clause>(learned.begin(),
+                                         learned.begin() + keep))
+          << "iteration " << i << " budget " << budget;
+    }
+  }
+}
+
+TEST(WirePropertyTest, LengthSortedListEncodesLikeItsSource) {
+  // The encoder skips its stable sort when lengths already ascend; the
+  // stable-sorted copy of a list must emit the list's own bytes.
+  util::Xoshiro256 rng(6060);
+  for (int i = 0; i < 200; ++i) {
+    const solver::Subproblem sp = random_subproblem(rng);
+    std::vector<cnf::Clause> sorted = clauses_of(sp.clauses, 0, sp.clauses.size());
+    std::stable_sort(sorted.begin(), sorted.end(),
+                     [](const cnf::Clause& a, const cnf::Clause& b) {
+                       return a.size() < b.size();
+                     });
+    util::ByteWriter from_pool;
+    cnf::encode_clause_stream(from_pool, sp.clauses);
+    util::ByteWriter from_sorted;
+    cnf::encode_clause_stream(from_sorted, std::span<const cnf::Clause>(sorted));
+    EXPECT_EQ(from_pool.take(), from_sorted.take()) << "iteration " << i;
+  }
 }
 
 TEST(CampaignWireTest, SplitBudgetBoundsShipsWithUnchangedVerdict) {
