@@ -85,8 +85,9 @@ void Client::start_subproblem(std::shared_ptr<solver::Subproblem> sp,
     // to a base-block transfer followed by a full start — a stale cache
     // can cost a round trip, never a wrong formula.
     const std::size_t host = host_index_;
-    campaign_.send_to_master(
-        host_index_, Msg::kBaseMiss, kControlMessageBytes,
+    campaign_.send(
+        campaign_.endpoints_[host], campaign_.root_, Msg::kBaseMiss,
+        kControlMessageBytes,
         [&c = campaign_, host, sp] { c.on_base_miss(host, sp); },
         sp->flow_id);
     return;
@@ -171,37 +172,31 @@ void Client::start_subproblem(std::shared_ptr<solver::Subproblem> sp,
   }
 }
 
-void Client::receive_clauses(std::shared_ptr<std::vector<cnf::Clause>> batch) {
+void Client::receive_clauses(std::shared_ptr<const ClauseBatch> batch) {
   if (!alive_ || !solver_) return;  // idle clients drop stale batches
-  solver_->import_clauses(*batch);
+  solver_->import_clauses(batch->clauses);
+}
+
+bool Client::decline_stale_grant() {
+  if (solver_) return false;
+  // Finished in the meantime: give the reservation back (the master will
+  // re-dispatch the peers to someone else; release_grant frees every
+  // reserved peer of this grant).
+  const std::size_t requester = host_index_;
+  campaign_.send_up(host_index_, Msg::kSplitFailed, kControlMessageBytes,
+                    [&c = campaign_, requester] {
+                      c.on_split_failed(requester);
+                    });
+  return true;
 }
 
 void Client::grant_split(std::vector<std::size_t> peer_hosts) {
-  if (!alive_ || peer_hosts.empty()) return;
-  if (!solver_) {
-    // Finished in the meantime: give the reservation back (the master
-    // will re-dispatch the peers to someone else; release_grant frees
-    // every reserved peer of this grant).
-    const std::size_t requester = host_index_;
-    campaign_.send_up(host_index_, Msg::kSplitFailed, kControlMessageBytes,
-                      [&c = campaign_, requester] {
-                        c.on_split_failed(requester);
-                      });
-    return;
-  }
+  if (!alive_ || peer_hosts.empty() || decline_stale_grant()) return;
   pending_split_peers_ = std::move(peer_hosts);
 }
 
 void Client::order_migration(std::size_t peer_host) {
-  if (!alive_) return;
-  if (!solver_) {
-    const std::size_t requester = host_index_;
-    campaign_.send_up(host_index_, Msg::kSplitFailed, kControlMessageBytes,
-                      [&c = campaign_, requester] {
-                        c.on_split_failed(requester);
-                      });
-    return;
-  }
+  if (!alive_ || decline_stale_grant()) return;
   pending_migrate_peer_ = static_cast<std::ptrdiff_t>(peer_host);
 }
 
@@ -220,8 +215,9 @@ void Client::cancel_subproblem(std::uint64_t incarnation) {
   pending_migrate_peer_ = -1;
   split_requested_ = false;
   const std::size_t host = host_index_;
-  campaign_.send_to_master(
-      host_index_, Msg::kCancelled, kControlMessageBytes,
+  campaign_.send(
+      campaign_.endpoints_[host], campaign_.root_, Msg::kCancelled,
+      kControlMessageBytes,
       [&c = campaign_, host] { c.on_race_cancelled(host); }, flow_);
 }
 
@@ -315,7 +311,7 @@ void Client::check_split_triggers() {
   const std::size_t capacity = campaign_.host(host_index_).memory_bytes();
   const bool memory_pressure =
       static_cast<double>(solver_->db_bytes()) >
-      campaign_.config().mem_split_fraction * static_cast<double>(capacity);
+      GridSatConfig::mem_split_fraction * static_cast<double>(capacity);
   const bool long_running =
       (now - subproblem_started_) > effective_split_timeout();
   if (memory_pressure || long_running) {
@@ -333,42 +329,32 @@ void Client::check_split_triggers() {
 
 void Client::flush_exports() {
   if (export_buffer_.empty()) return;
-  const std::size_t host = host_index_;
-  const std::ptrdiff_t sub = campaign_.route_sub(host_index_);
-  if (sub < 0) {
-    auto batch = std::make_shared<std::vector<cnf::Clause>>(
-        std::move(export_buffer_));
-    export_buffer_.clear();
-    export_lbds_.clear();
-    const std::size_t bytes = Campaign::clause_batch_bytes(*batch);
-    campaign_.send_to_master(host_index_, Msg::kClauses, bytes,
-                             [&c = campaign_, host, batch] {
-                               c.on_client_clauses(host, batch);
-                             });
-    return;
-  }
-  // Hierarchical topology: the batch travels one intra-site hop to the
-  // sub-master, LBDs riding along for the inter-site digest filter.
   auto batch = std::make_shared<ClauseBatch>();
   batch->clauses = std::move(export_buffer_);
   batch->lbds = std::move(export_lbds_);
   export_buffer_.clear();
   export_lbds_.clear();
-  // One extra byte per clause: the LBD tag.
-  const std::size_t bytes =
-      Campaign::clause_batch_bytes(batch->clauses) + batch->clauses.size();
+  const std::size_t host = host_index_;
+  const Campaign::Endpoint from = campaign_.endpoints_[host];
+  const std::ptrdiff_t sub = campaign_.route_sub(host_index_);
+  if (sub < 0) {
+    campaign_.send(from, campaign_.root_, Msg::kClauses,
+                   Campaign::clause_batch_bytes(*batch),
+                   [&c = campaign_, host, batch] {
+                     c.on_client_clauses(host, batch);
+                   });
+    return;
+  }
+  // Hierarchical topology: the batch travels one intra-site hop to the
+  // sub-master, LBDs riding along for the inter-site digest filter. A dead
+  // sub-master bounces it to the root, which relays it flat: sharing stays
+  // best-effort, never lost to a failure window.
   const auto s = static_cast<std::size_t>(sub);
   campaign_.deliver_at_sub(
-      s, host_index_, Msg::kClauses, bytes, /*flow=*/0,
+      from, s, Msg::kClauses,
+      Campaign::clause_batch_bytes(*batch, /*lbd_tagged=*/true),
       [&c = campaign_, s, host, batch] { c.sub_on_clauses(s, host, batch); },
-      [&c = campaign_, host, batch] {
-        // Bounced off a dead sub-master: the root relays flat, so the
-        // clauses still travel — sharing stays best-effort, never lost
-        // to a failure window.
-        auto flat = std::make_shared<std::vector<cnf::Clause>>(
-            batch->clauses);
-        c.on_client_clauses(host, flat);
-      });
+      [&c = campaign_, host, batch] { c.on_client_clauses(host, batch); });
 }
 
 void Client::maybe_checkpoint() {
@@ -428,8 +414,8 @@ void Client::maybe_checkpoint() {
   last_checkpoint_ = now;
   const std::size_t bytes = cp.wire_size();
   const std::size_t host = host_index_;
-  campaign_.send_to_master(
-      host_index_, Msg::kCheckpoint, bytes,
+  campaign_.send(
+      campaign_.endpoints_[host], campaign_.root_, Msg::kCheckpoint, bytes,
       [&c = campaign_, host, cp = std::move(cp)]() mutable {
         c.on_checkpoint(host, std::move(cp));
       },
@@ -501,7 +487,7 @@ void Client::perform_split() {
     // transfer time also parameterizes both sides' split timeouts (§3.3).
     slowest_transfer = std::max(
         slowest_transfer,
-        campaign_.ship(static_cast<std::ptrdiff_t>(host_index_), peer, sp));
+        campaign_.ship(campaign_.endpoints_[host_index_], peer, sp));
   }
   last_transfer_s_ = slowest_transfer;
   // Message 5: tell the master the split succeeded (and, for a hybrid
@@ -527,8 +513,7 @@ void Client::perform_migration() {
                    obs::EventKind::kLineageShip, sp->lineage_id,
                    campaign_.client_lane(peer));
   end_tenancy();
-  campaign_.ship(static_cast<std::ptrdiff_t>(host_index_), peer,
-                 std::move(sp));
+  campaign_.ship(campaign_.endpoints_[host_index_], peer, std::move(sp));
   const std::size_t from = host_index_;
   campaign_.send_up(
       host_index_, Msg::kMigrated, kControlMessageBytes,
@@ -602,23 +587,6 @@ void Client::finish_subproblem(SolveStatus status) {
 // Campaign (master + orchestration)
 // ===========================================================================
 
-namespace {
-/// Wire names of the Msg kinds, indexable by the enum value.
-constexpr const char* kMsgNames[] = {
-    "LAUNCH",          "REGISTER",        "SUBPROBLEM",
-    "SUBPROBLEM_ACK",  "SUBPROBLEM_REJECT", "SUBPROBLEM_UNSAT",
-    "SAT_FOUND",       "CLAUSES",         "SPLIT_REQUEST",
-    "SPLIT_GRANT",     "SPLIT_FAILED",    "SPLIT_DONE",
-    "MIGRATE_ORDER",   "MIGRATED",        "CHECKPOINT",
-    "CHECKPOINT_ACK",  "CHECKPOINT_NACK", "BASE_MISS",
-    "BASE_SHIP",       "CANCEL_SUBPROBLEM", "CANCELLED",
-    "SUB_REGISTER",    "SITE_SUMMARY",    "CLAUSE_DIGEST",
-    "WORK_REQUEST",    "SPLIT_BROKER",    "BROKER_FAILED",
-    "SUB_HELLO",
-};
-static_assert(std::size(kMsgNames) == static_cast<std::size_t>(Msg::kCount));
-}  // namespace
-
 Campaign::Campaign(cnf::CnfFormula formula, std::string master_site,
                    std::vector<sim::HostSpec> hosts, GridSatConfig config)
     : formula_(std::move(formula)),
@@ -626,10 +594,9 @@ Campaign::Campaign(cnf::CnfFormula formula, std::string master_site,
       config_(config),
       network_(names_),
       bus_(engine_, network_) {
-  master_id_ = names_.intern("master");
-  master_site_id_ = names_.intern(master_site_);
-  for (std::size_t i = 0; i < std::size(kMsgNames); ++i) {
-    msg_ids_[i] = names_.intern(kMsgNames[i]);
+  root_ = {names_.intern("master"), names_.intern(master_site_)};
+  for (std::size_t code = 1; code <= kMsgKinds; ++code) {
+    msg_ids_[code - 1] = names_.intern(to_string(static_cast<Msg>(code)));
   }
   hosts_.reserve(hosts.size());
   clients_.reserve(hosts.size());
@@ -846,9 +813,10 @@ void Campaign::set_metrics(obs::MetricRegistry* metrics) {
 }
 
 void Campaign::register_host_names(std::size_t host_index) {
-  assert(endpoint_ids_.size() == host_index);
-  endpoint_ids_.push_back(names_.intern("client:" + hosts_[host_index]->name()));
-  site_ids_.push_back(names_.intern(hosts_[host_index]->site()));
+  assert(endpoints_.size() == host_index);
+  const std::uint32_t id =
+      names_.intern("client:" + hosts_[host_index]->name());
+  endpoints_.push_back({id, names_.intern(hosts_[host_index]->site())});
   // Late joiners (batch grants, elastic acquisitions) tag their lane as
   // they appear; hosts present before run() are tagged in run() itself,
   // after the tracer is attached and enabled.
@@ -900,43 +868,42 @@ void Campaign::stamp_and_trace_ship(std::size_t host_index,
                        client_lane(host_index));
 }
 
-void Campaign::send(std::uint32_t from, std::uint32_t from_site,
-                    std::uint32_t to, std::uint32_t to_site, Msg kind,
-                    std::size_t bytes, sim::Callback handler,
-                    std::uint64_t flow) {
+void Campaign::send(Endpoint from, Endpoint to, Msg kind, std::size_t bytes,
+                    sim::Callback handler, std::uint64_t flow) {
+  if (to.id == root_.id) ++result_.root_messages_handled;
   sim::MessageHeader header;
-  header.from = from;
-  header.from_site = from_site;
-  header.to = to;
-  header.to_site = to_site;
+  header.from = from.id;
+  header.from_site = from.site;
+  header.to = to.id;
+  header.to_site = to.site;
   header.kind = kind_id(kind);
   header.bytes = bytes;
   header.flow_id = flow;
   bus_.send(header, std::move(handler));
 }
 
-void Campaign::send_to_master(std::size_t from_host, Msg kind,
-                              std::size_t bytes, sim::Callback handler,
-                              std::uint64_t flow) {
-  // Everything addressed to the root counts against it — the flat/hier
-  // comparison metric (result.root_messages_handled).
-  ++result_.root_messages_handled;
-  send(endpoint_ids_[from_host], site_ids_[from_host], master_id_,
-       master_site_id_, kind, bytes, std::move(handler), flow);
+template <class Pick, class Deliver>
+std::size_t Campaign::fan_out(Endpoint from, Msg kind, std::size_t bytes,
+                              Pick pick, Deliver deliver) {
+  sim::DeliveryBatch delivery(bus_, from.id, from.site, kind_id(kind), bytes);
+  for (std::size_t i = 0; i < clients_.size(); ++i) {
+    const Client* target = clients_[i].get();
+    if (target == nullptr || !target->alive() || !pick(i, *target)) continue;
+    delivery.add(endpoints_[i].id, endpoints_[i].site, [this, i, deliver] {
+      Client* receiver = client(i);
+      if (receiver != nullptr) deliver(*receiver);
+    });
+  }
+  const std::size_t recipients = delivery.size();
+  delivery.flush();
+  return recipients;
 }
 
-void Campaign::send_to_client(std::size_t to_host, Msg kind,
-                              std::size_t bytes, sim::Callback handler,
-                              std::uint64_t flow) {
-  send(master_id_, master_site_id_, endpoint_ids_[to_host],
-       site_ids_[to_host], kind, bytes, std::move(handler), flow);
-}
-
-std::size_t Campaign::clause_batch_bytes(
-    const std::vector<cnf::Clause>& batch) {
+std::size_t Campaign::clause_batch_bytes(const ClauseBatch& batch,
+                                         bool lbd_tagged) {
   std::size_t bytes = 8;
-  for (const auto& clause : batch) bytes += 2 + 4 * clause.size();
-  return bytes;
+  for (const auto& clause : batch.clauses) bytes += 2 + 4 * clause.size();
+  return lbd_tagged ? bytes + batch.clauses.size() : bytes;
 }
 
 void Campaign::launch_client(std::size_t host_index) {
@@ -950,28 +917,21 @@ void Campaign::launch_client(std::size_t host_index) {
   }
   entry.state = HostState::kLaunching;
   // Launch command + client start-up, then the client registers.
-  send_to_client(host_index, Msg::kLaunch, kControlMessageBytes,
-                 [this, host_index] {
-                   engine_.schedule_in(config_.client_launch_s,
-                                       [this, host_index] {
-                                         if (done_) return;
-                                         clients_[host_index] =
-                                             std::make_unique<Client>(
-                                                 *this, host_index,
-                                                 hosts_[host_index]->name());
-                                         // Assignment is the root's call:
-                                         // a covering sub-master forwards
-                                         // the registration as
-                                         // SUB_REGISTER.
-                                         send_up(
-                                             host_index, Msg::kRegister,
-                                             kControlMessageBytes,
-                                             [this, host_index] {
-                                               on_register(host_index);
-                                             },
-                                             0, /*forward_to_root=*/true);
-                                       });
-                 });
+  send(root_, endpoints_[host_index], Msg::kLaunch, kControlMessageBytes,
+       [this, host_index] {
+         const double startup = GridSatConfig::client_launch_s;
+         engine_.schedule_in(startup, [this, host_index] {
+           if (done_) return;
+           clients_[host_index] = std::make_unique<Client>(
+               *this, host_index, hosts_[host_index]->name());
+           // Assignment is the root's call: a covering sub-master
+           // forwards the registration as SUB_REGISTER.
+           send_up(
+               host_index, Msg::kRegister, kControlMessageBytes,
+               [this, host_index] { on_register(host_index); }, 0,
+               /*forward_to_root=*/true);
+         });
+       });
 }
 
 void Campaign::on_register(std::size_t host_index) {
@@ -979,62 +939,54 @@ void Campaign::on_register(std::size_t host_index) {
   grid::ResourceEntry& entry = directory_.at(host_index);
   if (entry.state != HostState::kLaunching) return;
   entry.state = HostState::kIdle;
-  if (!problem_assigned_) {
-    // First client to register is sent the entire problem (§3.3).
-    problem_assigned_ = true;
-    auto sp = std::make_shared<solver::Subproblem>();
-    sp->num_vars = formula_.num_vars();
-    sp->clauses = cnf::ClausePool(formula_.clauses());
-    sp->num_problem_clauses = sp->clauses.size();
-    sp->path = "root";
-    entry.state = HostState::kReserved;
-    assign_subproblem(host_index, sp);
-    // stamp_and_trace_ship allocated the root's tree node; portfolio
-    // re-ships of the same node reuse the id (one node, many tenancies).
-    root_lineage_ = sp->lineage_id;
+  // The first client to register is sent the entire problem (§3.3). In
+  // portfolio mode every later registrant races the whole formula too,
+  // under a diversified configuration (slot k != 0 remaps heuristics; the
+  // clause bus still connects everyone, so racers cooperate).
+  const bool first = !problem_assigned_;
+  if (!first && config_.parallel_mode != solver::ParallelMode::kPortfolio) {
+    try_dispatch();
     return;
   }
-  if (config_.parallel_mode == solver::ParallelMode::kPortfolio) {
-    // Portfolio: every registrant races the whole formula under a
-    // diversified configuration (slot k != 0 remaps heuristics; the
-    // clause bus still connects everyone, so racers cooperate).
-    auto sp = std::make_shared<solver::Subproblem>();
-    sp->num_vars = formula_.num_vars();
-    sp->clauses = cnf::ClausePool(formula_.clauses());
-    sp->num_problem_clauses = sp->clauses.size();
-    sp->path = "root";
+  auto sp = root_subproblem();
+  if (!first) {
     sp->lineage_id = root_lineage_;
     sp->race_slot = ++portfolio_next_slot_;
-    entry.state = HostState::kReserved;
-    assign_subproblem(host_index, std::move(sp));
-    return;
   }
-  try_dispatch();
+  problem_assigned_ = true;
+  entry.state = HostState::kReserved;
+  assign_subproblem(host_index, sp);
+  // stamp_and_trace_ship allocated the root's tree node on the first
+  // ship; portfolio re-ships reuse the id (one node, many tenancies).
+  root_lineage_ = sp->lineage_id;
+}
+
+std::shared_ptr<solver::Subproblem> Campaign::root_subproblem() const {
+  auto sp = std::make_shared<solver::Subproblem>();
+  sp->num_vars = formula_.num_vars();
+  sp->clauses = cnf::ClausePool(formula_.clauses());
+  sp->num_problem_clauses = sp->clauses.size();
+  sp->path = "root";
+  return sp;
 }
 
 void Campaign::assign_subproblem(std::size_t host_index,
                                  std::shared_ptr<solver::Subproblem> sp) {
   stamp_and_trace_ship(host_index, *sp);
-  ship(-1, host_index, std::move(sp));
+  ship(root_, host_index, std::move(sp));
 }
 
-double Campaign::ship(std::ptrdiff_t from_host, std::size_t to_host,
+double Campaign::ship(Endpoint from, std::size_t to_host,
                       std::shared_ptr<solver::Subproblem> sp, Msg kind) {
   ShipPlan plan{solver::WireMode::kFull, base_block_bytes_};
   if (kind == Msg::kSubproblem) {
     ++subproblems_in_flight_;
     plan = plan_subproblem_ship(to_host, *sp);
   }
-  const bool from_master = from_host < 0;
-  const std::uint32_t from =
-      from_master ? master_id_ : endpoint_ids_[from_host];
-  const std::uint32_t from_site =
-      from_master ? master_site_id_ : site_ids_[from_host];
   const double transfer =
-      network_.transfer_time(plan.bytes, from_site, site_ids_[to_host]);
+      network_.transfer_time(plan.bytes, from.site, endpoints_[to_host].site);
   const std::uint64_t flow = sp->flow_id;
-  send(from, from_site, endpoint_ids_[to_host], site_ids_[to_host], kind,
-       plan.bytes,
+  send(from, endpoints_[to_host], kind, plan.bytes,
        [this, to_host, sp = std::move(sp), transfer, mode = plan.mode] {
          Client* target = client(to_host);
          if (target != nullptr && target->alive()) {
@@ -1078,7 +1030,7 @@ void Campaign::on_base_miss(std::size_t host_index,
   // carries its problem clauses; only bytes and time are charged). The
   // subproblem stays in flight throughout, so termination accounting is
   // unchanged.
-  ship(-1, host_index, std::move(sp), Msg::kBaseShip);
+  ship(root_, host_index, std::move(sp), Msg::kBaseShip);
 }
 
 void Campaign::on_subproblem_rejected(
@@ -1258,14 +1210,13 @@ void Campaign::send_race_cancel(std::size_t peer) {
     return;
   }
   const std::uint64_t incarnation = expected->second;
-  send_to_client(
-      peer, Msg::kCancelSubproblem, kControlMessageBytes,
-      [this, peer, incarnation] {
-        Client* target = client(peer);
-        if (target != nullptr && target->alive()) {
-          target->cancel_subproblem(incarnation);
-        }
-      });
+  send(root_, endpoints_[peer], Msg::kCancelSubproblem, kControlMessageBytes,
+       [this, peer, incarnation] {
+         Client* target = client(peer);
+         if (target != nullptr && target->alive()) {
+           target->cancel_subproblem(incarnation);
+         }
+       });
 }
 
 void Campaign::on_race_cancelled(std::size_t host_index) {
@@ -1321,29 +1272,20 @@ void Campaign::on_sat_found(std::size_t host_index, cnf::Assignment model) {
   finish(CampaignStatus::kSat);
 }
 
-void Campaign::on_client_clauses(
-    std::size_t from, std::shared_ptr<std::vector<cnf::Clause>> batch) {
+void Campaign::on_client_clauses(std::size_t from,
+                                 std::shared_ptr<const ClauseBatch> batch) {
   if (done_) return;
   ++result_.clause_batches_shared;
-  result_.clauses_shared += batch->size();
+  result_.clauses_shared += batch->clauses.size();
   // Relay to every other live client with work in hand (§3.2: GridSAT
   // "shares clauses globally as soon as they are generated"). The batch
   // collector delivers all recipients reached over the same link class
   // behind one engine event (DESIGN.md §4g), so a broadcast to N busy
   // clients costs O(sites) queue operations instead of O(N).
-  const std::size_t bytes = clause_batch_bytes(*batch);
-  sim::DeliveryBatch delivery(bus_, master_id_, master_site_id_,
-                              kind_id(Msg::kClauses), bytes);
-  for (std::size_t i = 0; i < clients_.size(); ++i) {
-    if (i == from) continue;
-    Client* target = clients_[i].get();
-    if (target == nullptr || !target->alive() || !target->busy()) continue;
-    delivery.add(endpoint_ids_[i], site_ids_[i], [this, i, batch] {
-      Client* receiver = client(i);
-      if (receiver != nullptr) receiver->receive_clauses(batch);
-    });
-  }
-  delivery.flush();
+  fan_out(
+      root_, Msg::kClauses, clause_batch_bytes(*batch),
+      [from](std::size_t i, const Client& c) { return i != from && c.busy(); },
+      [batch](Client& c) { c.receive_clauses(batch); });
 }
 
 void Campaign::drop_checkpoints(std::size_t host_index) {
@@ -1354,8 +1296,9 @@ void Campaign::drop_checkpoints(std::size_t host_index) {
 void Campaign::send_checkpoint_nack(std::size_t host_index,
                                     std::uint64_t incarnation,
                                     std::uint64_t flow) {
-  send_to_client(
-      host_index, Msg::kCheckpointNack, kControlMessageBytes,
+  send(
+      root_, endpoints_[host_index], Msg::kCheckpointNack,
+      kControlMessageBytes,
       [this, host_index, incarnation] {
         Client* target = client(host_index);
         if (target != nullptr) {
@@ -1401,8 +1344,9 @@ void Campaign::on_checkpoint(std::size_t host_index, Checkpoint cp) {
   }
   const std::uint64_t incarnation = chain.back().incarnation;
   const std::uint64_t epoch = chain.back().epoch;
-  send_to_client(
-      host_index, Msg::kCheckpointAck, kControlMessageBytes,
+  send(
+      root_, endpoints_[host_index], Msg::kCheckpointAck,
+      kControlMessageBytes,
       [this, host_index, incarnation, epoch] {
         Client* target = client(host_index);
         if (target != nullptr) {
@@ -1484,7 +1428,8 @@ void Campaign::on_client_died(std::size_t host_index, bool was_busy) {
 std::size_t Campaign::idle_at_site(std::uint32_t site) const {
   std::size_t count = 0;
   for (std::size_t i = 0; i < directory_.size(); ++i) {
-    if (site_ids_[i] == site && directory_.at(i).state == HostState::kIdle) {
+    if (endpoints_[i].site == site &&
+        directory_.at(i).state == HostState::kIdle) {
       ++count;
     }
   }
@@ -1543,7 +1488,8 @@ void Campaign::try_dispatch() {
         config_.parallel_mode == solver::ParallelMode::kSplit &&
         directory_.rank(to) >
             config_.migration_rank_factor * directory_.rank(from) &&
-        idle_at_site(site_ids_[to]) >= config_.migration_min_idle_at_site;
+        idle_at_site(endpoints_[to].site) >=
+            config_.migration_min_idle_at_site;
     std::vector<std::size_t> targets{to};
     if (config_.parallel_mode == solver::ParallelMode::kHybrid) {
       // Reserve up to race_width idle hosts: the split child is shipped
@@ -1621,13 +1567,9 @@ void Campaign::grant(std::size_t requester, std::vector<std::size_t> targets,
       c->grant_split(targets);
     }
   };
-  const Msg kind = migrate ? Msg::kMigrateOrder : Msg::kSplitGrant;
-  if (via_sub < 0) {
-    send_to_client(requester, kind, kControlMessageBytes, std::move(deliver));
-  } else {
-    send_sub_to_client(static_cast<std::size_t>(via_sub), requester, kind,
-                       kControlMessageBytes, std::move(deliver));
-  }
+  send(via_sub < 0 ? root_ : sub_masters_[via_sub].endpoint,
+       endpoints_[requester], migrate ? Msg::kMigrateOrder : Msg::kSplitGrant,
+       kControlMessageBytes, std::move(deliver));
 }
 
 void Campaign::update_peak_active() {
@@ -1643,7 +1585,7 @@ bool Campaign::hier_enabled() const noexcept { return !sub_masters_.empty(); }
 
 std::ptrdiff_t Campaign::route_sub(std::size_t host_index) const {
   if (sub_masters_.empty()) return -1;
-  const auto it = sub_by_site_.find(site_ids_[host_index]);
+  const auto it = sub_by_site_.find(endpoints_[host_index].site);
   return it == sub_by_site_.end() ? -1
                                   : static_cast<std::ptrdiff_t>(it->second);
 }
@@ -1660,12 +1602,11 @@ void Campaign::setup_sub_masters() {
   // paper-flat routing.
   for (std::size_t i = 0;
        i < hosts_.size() && sub_masters_.size() < config_.sub_masters; ++i) {
-    const std::uint32_t site = site_ids_[i];
+    const std::uint32_t site = endpoints_[i].site;
     if (sub_by_site_.count(site) != 0) continue;
     SubMaster sm;
     sm.site = hosts_[i]->site();
-    sm.site_id = site;
-    sm.endpoint = names_.intern("submaster:" + sm.site);
+    sm.endpoint = {names_.intern("submaster:" + sm.site), site};
     // 2^14 slots: a site's working set of recently shared clauses, not
     // the campaign-wide history (clear() on re-home starts a new epoch).
     sm.filter = solver::FingerprintFilter(14);
@@ -1688,7 +1629,7 @@ void Campaign::schedule_sub_master_failure(const std::string& site,
     // requests (clients re-send on SUB_HELLO), the unsent digest, and
     // the outstanding starvation claim.
     sm.backlog.clear();
-    sm.digest.clear();
+    sm.digest = {};
     sm.work_requested = false;
     starving_sites_.erase(sub);
     // The root's monitoring notices shortly afterwards, as with client
@@ -1713,72 +1654,38 @@ void Campaign::rehome_sub_master(std::size_t sub) {
   // request the dead incarnation swallowed re-sends it, so no guiding
   // path is lost (the space itself was never at risk — subproblems
   // travel peer-to-peer, not through sub-masters).
-  sim::DeliveryBatch hello(bus_, master_id_, master_site_id_,
-                           kind_id(Msg::kSubHello), kControlMessageBytes);
-  for (std::size_t i = 0; i < clients_.size(); ++i) {
-    if (site_ids_[i] != sm.site_id) continue;
-    Client* target = clients_[i].get();
-    if (target == nullptr || !target->alive()) continue;
-    hello.add(endpoint_ids_[i], site_ids_[i], [this, i] {
-      Client* c = client(i);
-      if (c != nullptr) c->sub_hello();
-    });
-  }
-  hello.flush();
+  const std::uint32_t site = sm.endpoint.site;
+  fan_out(
+      root_, Msg::kSubHello, kControlMessageBytes,
+      [this, site](std::size_t i, const Client&) {
+        return endpoints_[i].site == site;
+      },
+      [](Client& c) { c.sub_hello(); });
   try_dispatch();
 }
 
-void Campaign::send_sub_to_root(std::size_t sub, Msg kind, std::size_t bytes,
-                                sim::Callback handler, std::uint64_t flow) {
-  ++result_.root_messages_handled;
-  SubMaster& sm = sub_masters_[sub];
-  send(sm.endpoint, sm.site_id, master_id_, master_site_id_, kind, bytes,
-       std::move(handler), flow);
-}
-
-void Campaign::send_root_to_sub(std::size_t sub, Msg kind, std::size_t bytes,
-                                sim::Callback handler, std::uint64_t flow) {
-  SubMaster& sm = sub_masters_[sub];
-  send(master_id_, master_site_id_, sm.endpoint, sm.site_id, kind, bytes,
-       [this, sub, handler = std::move(handler)]() mutable {
-         if (sub_masters_[sub].alive) {
-           ++result_.sub_messages_handled;
-         } else {
-           ++result_.sub_master_bounces;
-         }
-         // The handler itself is alive-aware (a dead sub-master drops a
-         // digest, fails a broker back to the root).
-         handler();
-       },
-       flow);
-}
-
-void Campaign::send_sub_to_client(std::size_t sub, std::size_t to_host,
-                                  Msg kind, std::size_t bytes,
-                                  sim::Callback handler, std::uint64_t flow) {
-  SubMaster& sm = sub_masters_[sub];
-  send(sm.endpoint, sm.site_id, endpoint_ids_[to_host], site_ids_[to_host],
-       kind, bytes, std::move(handler), flow);
-}
-
-void Campaign::deliver_at_sub(std::size_t sub, std::size_t from_host,
-                              Msg kind, std::size_t bytes,
-                              std::uint64_t flow, sim::Callback at_sub,
-                              sim::Callback at_root) {
-  SubMaster& sm = sub_masters_[sub];
-  send(endpoint_ids_[from_host], site_ids_[from_host], sm.endpoint,
-       sm.site_id, kind, bytes,
+void Campaign::deliver_at_sub(Endpoint from, std::size_t sub, Msg kind,
+                              std::size_t bytes, sim::Callback at_sub,
+                              sim::Callback at_root, std::uint64_t flow) {
+  send(from, sub_masters_[sub].endpoint, kind, bytes,
        [this, sub, kind, bytes, flow, at_sub = std::move(at_sub),
         at_root = std::move(at_root)]() mutable {
-         if (!sub_masters_[sub].alive) {
-           // Dead sub-master: the message bounces to the root, charging
-           // the extra hop, and the root-side fallback handles it.
-           ++result_.sub_master_bounces;
-           send_sub_to_root(sub, kind, bytes, std::move(at_root), flow);
+         const SubMaster& sm = sub_masters_[sub];
+         if (sm.alive) {
+           ++result_.sub_messages_handled;
+           at_sub();
            return;
          }
-         ++result_.sub_messages_handled;
-         at_sub();
+         ++result_.sub_master_bounces;
+         if (at_root) {
+           // The message bounces to the root, charging the extra hop, and
+           // the root-side fallback handles it there.
+           send(sm.endpoint, root_, kind, bytes, std::move(at_root), flow);
+         } else {
+           // Root-sent traffic: the handler itself is alive-aware (a dead
+           // sub-master drops a digest, fails a broker back to the root).
+           at_sub();
+         }
        },
        flow);
 }
@@ -1786,9 +1693,10 @@ void Campaign::deliver_at_sub(std::size_t sub, std::size_t from_host,
 void Campaign::send_up(std::size_t from_host, Msg kind, std::size_t bytes,
                        sim::Callback handler, std::uint64_t flow,
                        bool forward_to_root) {
+  const Endpoint from = endpoints_[from_host];
   const std::ptrdiff_t sub = route_sub(from_host);
   if (sub < 0) {
-    send_to_master(from_host, kind, bytes, std::move(handler), flow);
+    send(from, root_, kind, bytes, std::move(handler), flow);
     return;
   }
   const auto s = static_cast<std::size_t>(sub);
@@ -1799,18 +1707,18 @@ void Campaign::send_up(std::size_t from_host, Msg kind, std::size_t bytes,
     // Shared-semantics report: it terminates at the sub-master, which
     // folds it into the next cadenced SITE_SUMMARY instead of forwarding
     // it — the root hears O(sites) summaries, not O(clients) reports.
-    deliver_at_sub(s, from_host, kind, bytes, flow,
-                   [shared] { (*shared)(); }, [shared] { (*shared)(); });
+    deliver_at_sub(from, s, kind, bytes, [shared] { (*shared)(); },
+                   [shared] { (*shared)(); }, flow);
     return;
   }
   const Msg forwarded = kind == Msg::kRegister ? Msg::kSubRegister : kind;
   deliver_at_sub(
-      s, from_host, kind, bytes, flow,
+      from, s, kind, bytes,
       [this, s, forwarded, bytes, flow, shared] {
-        send_sub_to_root(s, forwarded, bytes, [shared] { (*shared)(); },
-                         flow);
+        send(sub_masters_[s].endpoint, root_, forwarded, bytes,
+             [shared] { (*shared)(); }, flow);
       },
-      [shared] { (*shared)(); });
+      [shared] { (*shared)(); }, flow);
 }
 
 void Campaign::enqueue_split_request(std::size_t host_index) {
@@ -1835,7 +1743,7 @@ std::ptrdiff_t Campaign::best_idle_at_site(std::size_t sub) const {
   std::ptrdiff_t best = -1;
   double best_rank = -1.0;
   for (std::size_t i = 0; i < directory_.size(); ++i) {
-    if (site_ids_[i] != sm.site_id) continue;
+    if (endpoints_[i].site != sm.endpoint.site) continue;
     const grid::ResourceEntry& e = directory_.at(i);
     if (e.state != HostState::kIdle) continue;
     if (e.spec.memory_bytes < config_.min_client_memory) continue;
@@ -1849,12 +1757,12 @@ std::ptrdiff_t Campaign::best_idle_at_site(std::size_t sub) const {
 }
 
 void Campaign::sub_on_clauses(std::size_t sub, std::size_t from,
-                              std::shared_ptr<ClauseBatch> batch) {
+                              std::shared_ptr<const ClauseBatch> batch) {
   if (done_) return;
   SubMaster& sm = sub_masters_[sub];
   ++result_.clause_batches_shared;
   result_.clauses_shared += batch->clauses.size();
-  auto fresh = std::make_shared<std::vector<cnf::Clause>>();
+  auto fresh = std::make_shared<ClauseBatch>();
   const std::size_t cap = config_.inter_site_lbd_cap;
   for (std::size_t i = 0; i < batch->clauses.size(); ++i) {
     const cnf::Clause& clause = batch->clauses[i];
@@ -1865,84 +1773,71 @@ void Campaign::sub_on_clauses(std::size_t sub, std::size_t from,
       ++result_.digest_clauses_deduped;
       continue;
     }
-    fresh->push_back(clause);
+    fresh->clauses.push_back(clause);
     const std::uint32_t lbd = i < batch->lbds.size() ? batch->lbds[i] : 0;
-    if (cap > 0 && lbd <= cap) sm.digest.emplace_back(clause, lbd);
+    if (cap > 0 && lbd <= cap) {
+      sm.digest.clauses.push_back(clause);
+      sm.digest.lbds.push_back(lbd);
+    }
   }
-  if (!fresh->empty()) {
-    sub_relay(sub, fresh, static_cast<std::ptrdiff_t>(from));
+  if (!fresh->clauses.empty()) {
+    sub_relay(sub, std::move(fresh), static_cast<std::ptrdiff_t>(from));
   }
 }
 
 void Campaign::sub_relay(std::size_t sub,
-                         std::shared_ptr<std::vector<cnf::Clause>> clauses,
+                         std::shared_ptr<const ClauseBatch> batch,
                          std::ptrdiff_t exclude_host) {
-  SubMaster& sm = sub_masters_[sub];
-  const std::size_t bytes = clause_batch_bytes(*clauses);
-  sim::DeliveryBatch delivery(bus_, sm.endpoint, sm.site_id,
-                              kind_id(Msg::kClauses), bytes);
-  for (std::size_t i = 0; i < clients_.size(); ++i) {
-    if (static_cast<std::ptrdiff_t>(i) == exclude_host) continue;
-    if (site_ids_[i] != sm.site_id) continue;
-    Client* target = clients_[i].get();
-    if (target == nullptr || !target->alive() || !target->busy()) continue;
-    delivery.add(endpoint_ids_[i], site_ids_[i], [this, i, clauses] {
-      Client* receiver = client(i);
-      if (receiver != nullptr) receiver->receive_clauses(clauses);
-    });
-  }
-  if (delivery.size() == 0) return;
-  ++result_.site_relay_batches;
-  delivery.flush();
+  const Endpoint at = sub_masters_[sub].endpoint;
+  const std::size_t recipients = fan_out(
+      at, Msg::kClauses, clause_batch_bytes(*batch),
+      [this, at, exclude_host](std::size_t i, const Client& c) {
+        return static_cast<std::ptrdiff_t>(i) != exclude_host &&
+               endpoints_[i].site == at.site && c.busy();
+      },
+      [batch](Client& c) { c.receive_clauses(batch); });
+  if (recipients > 0) ++result_.site_relay_batches;
 }
 
 void Campaign::flush_digest(std::size_t sub) {
   SubMaster& sm = sub_masters_[sub];
-  if (sm.digest.empty()) return;
-  auto batch = std::make_shared<ClauseBatch>();
-  batch->clauses.reserve(sm.digest.size());
-  batch->lbds.reserve(sm.digest.size());
-  for (auto& [clause, lbd] : sm.digest) {
-    batch->clauses.push_back(std::move(clause));
-    batch->lbds.push_back(lbd);
-  }
-  sm.digest.clear();
+  if (sm.digest.clauses.empty()) return;
+  auto batch = std::make_shared<const ClauseBatch>(std::move(sm.digest));
+  sm.digest = {};
   ++result_.inter_site_digests;
   result_.digest_clauses_sent += batch->clauses.size();
-  const std::size_t bytes =
-      clause_batch_bytes(batch->clauses) + batch->clauses.size();
-  send_sub_to_root(sub, Msg::kClauseDigest, bytes,
-                   [this, sub, batch] { root_on_digest(sub, batch); });
+  send(sm.endpoint, root_, Msg::kClauseDigest,
+       clause_batch_bytes(*batch, /*lbd_tagged=*/true),
+       [this, sub, batch] { root_on_digest(sub, batch); });
 }
 
 void Campaign::root_on_digest(std::size_t sub,
-                              std::shared_ptr<ClauseBatch> batch) {
+                              std::shared_ptr<const ClauseBatch> batch) {
   if (done_) return;
-  const std::size_t bytes =
-      clause_batch_bytes(batch->clauses) + batch->clauses.size();
+  const std::size_t bytes = clause_batch_bytes(*batch, /*lbd_tagged=*/true);
   for (std::size_t s = 0; s < sub_masters_.size(); ++s) {
     if (s == sub || !sub_masters_[s].alive) continue;
-    send_root_to_sub(s, Msg::kClauseDigest, bytes,
-                     [this, s, batch] { sub_on_remote_digest(s, batch); });
+    deliver_at_sub(root_, s, Msg::kClauseDigest, bytes,
+                   [this, s, batch] { sub_on_remote_digest(s, batch); });
   }
 }
 
 void Campaign::sub_on_remote_digest(std::size_t sub,
-                                    std::shared_ptr<ClauseBatch> batch) {
+                                    std::shared_ptr<const ClauseBatch> batch) {
   if (done_) return;
   SubMaster& sm = sub_masters_[sub];
   // A dead sub-master drops the digest — sharing is best-effort, and the
   // fresh incarnation's cleared filter re-admits these clauses later.
   if (!sm.alive) return;
-  auto fresh = std::make_shared<std::vector<cnf::Clause>>();
+  auto fresh = std::make_shared<ClauseBatch>();
   for (const cnf::Clause& clause : batch->clauses) {
     if (sm.filter.insert(solver::clause_fingerprint(clause))) {
-      fresh->push_back(clause);
+      fresh->clauses.push_back(clause);
     } else {
       ++result_.digest_clauses_deduped;
     }
   }
-  if (!fresh->empty()) sub_relay(sub, fresh, -1);
+  if (!fresh->clauses.empty()) sub_relay(sub, std::move(fresh), -1);
 }
 
 void Campaign::sub_master_tick(std::size_t sub) {
@@ -1963,7 +1858,7 @@ void Campaign::sub_master_tick(std::size_t sub) {
       std::size_t idle = 0;
       std::size_t busy = 0;
       for (std::size_t i = 0; i < directory_.size(); ++i) {
-        if (site_ids_[i] != sm.site_id) continue;
+        if (endpoints_[i].site != sm.endpoint.site) continue;
         const HostState s = directory_.at(i).state;
         if (s == HostState::kIdle) ++idle;
         if (s == HostState::kBusy) ++busy;
@@ -1973,8 +1868,8 @@ void Campaign::sub_master_tick(std::size_t sub) {
         sm.last_idle = idle;
         sm.last_busy = busy;
         sm.last_backlog = sm.backlog.size();
-        send_sub_to_root(sub, Msg::kSiteSummary, kControlMessageBytes,
-                         [this] { root_on_site_summary(); });
+        send(sm.endpoint, root_, Msg::kSiteSummary, kControlMessageBytes,
+             [this] { root_on_site_summary(); });
       }
     }
   }
@@ -2015,8 +1910,8 @@ void Campaign::sub_try_dispatch(std::size_t sub) {
   if (problem_assigned_ && !sm.work_requested &&
       oldest_requester(sm.backlog) < 0 && best_idle_at_site(sub) >= 0) {
     sm.work_requested = true;
-    send_sub_to_root(sub, Msg::kWorkRequest, kControlMessageBytes,
-                     [this, sub] { root_on_work_request(sub); });
+    send(sm.endpoint, root_, Msg::kWorkRequest, kControlMessageBytes,
+         [this, sub] { root_on_work_request(sub); });
   }
 }
 
@@ -2072,10 +1967,10 @@ void Campaign::root_broker() {
     starving.work_requested = false;
     it = starving_sites_.erase(it);
     const auto donor_index = static_cast<std::size_t>(donor);
-    send_root_to_sub(donor_index, Msg::kSplitBroker, kControlMessageBytes,
-                     [this, donor_index, peer_index] {
-                       sub_on_broker(donor_index, peer_index);
-                     });
+    deliver_at_sub(root_, donor_index, Msg::kSplitBroker, kControlMessageBytes,
+                   [this, donor_index, peer_index] {
+                     sub_on_broker(donor_index, peer_index);
+                   });
   }
 }
 
@@ -2088,8 +1983,8 @@ void Campaign::sub_on_broker(std::size_t sub, std::size_t peer_host) {
   if (requester < 0) {
     // Dead, or the backlog drained since the root looked: give the
     // reserved peer back.
-    send_sub_to_root(sub, Msg::kBrokerFailed, kControlMessageBytes,
-                     [this, peer_host] { root_on_broker_failed(peer_host); });
+    send(sm.endpoint, root_, Msg::kBrokerFailed, kControlMessageBytes,
+         [this, peer_host] { root_on_broker_failed(peer_host); });
     return;
   }
   ++result_.brokered_splits;
@@ -2168,7 +2063,7 @@ void Campaign::sample_availability() {
     if (entry.state == HostState::kDead) continue;
     entry.forecaster.observe(hosts_[i]->availability(engine_.now()));
   }
-  engine_.schedule_in(config_.availability_sample_interval_s,
+  engine_.schedule_in(GridSatConfig::availability_sample_interval_s,
                       [this] { sample_availability(); });
 }
 
@@ -2203,7 +2098,7 @@ GridSatResult Campaign::run() {
       // Sub-master lanes carry their site tag too, so gridsat_analyze
       // groups their wire traffic with the site they coordinate.
       for (const SubMaster& sm : sub_masters_) {
-        tracer_->emit(tracer_->register_worker(names_.name(sm.endpoint)),
+        tracer_->emit(tracer_->register_worker(names_.name(sm.endpoint.id)),
                       obs::EventKind::kSiteTag, tracer_->intern(sm.site));
       }
     }

@@ -35,6 +35,7 @@
 #include "cnf/formula.hpp"
 #include "core/checkpoint.hpp"
 #include "core/config.hpp"
+#include "core/protocol.hpp"
 #include "core/result.hpp"
 #include "grid/directory.hpp"
 #include "obs/metrics.hpp"
@@ -52,46 +53,12 @@ namespace gridsat::core {
 
 class Campaign;
 
-/// Protocol message kinds (Figure 3 plus the checkpoint/wire protocol).
-/// Each maps to a pre-interned NameTable id at campaign construction, so
-/// the send path never touches the strings.
-enum class Msg : std::uint8_t {
-  kLaunch,
-  kRegister,
-  kSubproblem,
-  kSubproblemAck,
-  kSubproblemReject,
-  kSubproblemUnsat,
-  kSatFound,
-  kClauses,
-  kSplitRequest,
-  kSplitGrant,
-  kSplitFailed,
-  kSplitDone,
-  kMigrateOrder,
-  kMigrated,
-  kCheckpoint,
-  kCheckpointAck,
-  kCheckpointNack,
-  kBaseMiss,
-  kBaseShip,
-  kCancelSubproblem,  ///< master -> racer: a co-racer won; stand down
-  kCancelled,         ///< racer -> master: tenancy abandoned, host idle
-  // Hierarchical-master protocol (DESIGN.md §4j).
-  kSubRegister,   ///< sub-master -> root: registration forward (pre-assignment)
-  kSiteSummary,   ///< sub-master -> root: cadenced site-state summary
-  kClauseDigest,  ///< sub-master <-> root: deduped inter-site clause digest
-  kWorkRequest,   ///< sub-master -> root: site starving (idle hosts, no work)
-  kSplitBroker,   ///< root -> sub-master: grant a split toward a remote peer
-  kBrokerFailed,  ///< sub-master -> root: nothing left to give; release peer
-  kSubHello,      ///< root -> site clients: fresh sub-master incarnation
-  kCount,
-};
-
-/// One client flush in the hierarchical topology: the shared clauses plus
-/// the LBD each was learned at — the sub-master's inter-site digest filter
-/// keys on LBD (config.inter_site_lbd_cap). The flat topology ships
-/// clauses only, exactly as before.
+/// One client flush: the shared clauses plus the LBD each was learned
+/// at. Flat and hierarchical sharing carry the same batch. Only hops to
+/// and from sub-masters (client flushes, inter-site digests) charge the
+/// LBD tags, because the digest filter keys on them
+/// (config.inter_site_lbd_cap); the flat path and every relay to clients
+/// ship clauses only.
 struct ClauseBatch {
   std::vector<cnf::Clause> clauses;
   std::vector<std::uint32_t> lbds;
@@ -106,7 +73,7 @@ class Client {
   void start_subproblem(std::shared_ptr<solver::Subproblem> sp,
                         double transfer_seconds,
                         solver::WireMode mode = solver::WireMode::kFull);
-  void receive_clauses(std::shared_ptr<std::vector<cnf::Clause>> batch);
+  void receive_clauses(std::shared_ptr<const ClauseBatch> batch);
   /// kSplit grants one peer; kHybrid grants up to race_width peers that
   /// will all race the same split child.
   void grant_split(std::vector<std::size_t> peer_hosts);
@@ -138,6 +105,10 @@ class Client {
 
   void compute_slice();
   void post_slice();
+  /// A grant (split or migration) that finds the solver already gone
+  /// sends SPLIT_FAILED so the master frees the reserved peers; returns
+  /// true when it did.
+  bool decline_stale_grant();
   void finish_subproblem(solver::SolveStatus status);
   /// Close the current tenancy: fold the solver's work and import counts
   /// into the client's totals, drop the solver and its unsent exports.
@@ -316,6 +287,14 @@ class Campaign {
  private:
   friend class Client;
 
+  /// A message address: interned endpoint name and site ids of a client
+  /// ("client:<host>"), the root ("master") or a sub-master
+  /// ("submaster:<site>").
+  struct Endpoint {
+    std::uint32_t id = 0;
+    std::uint32_t site = 0;
+  };
+
   // --- master logic ----------------------------------------------------
   void launch_client(std::size_t host_index);
   void on_register(std::size_t host_index);
@@ -350,7 +329,7 @@ class Campaign {
   bool forget_racer(std::size_t host_index);
   void on_sat_found(std::size_t host_index, cnf::Assignment model);
   void on_client_clauses(std::size_t from,
-                         std::shared_ptr<std::vector<cnf::Clause>> batch);
+                         std::shared_ptr<const ClauseBatch> batch);
   void on_checkpoint(std::size_t host_index, Checkpoint cp);
   void send_checkpoint_nack(std::size_t host_index, std::uint64_t incarnation,
                             std::uint64_t flow);
@@ -385,6 +364,9 @@ class Campaign {
   void release_grant(std::size_t requester);
   void check_termination();
   void finish(CampaignStatus status);
+  /// The whole formula as one subproblem: the first registrant's
+  /// assignment (§3.3) and every portfolio racer's copy.
+  [[nodiscard]] std::shared_ptr<solver::Subproblem> root_subproblem() const;
   /// Ship a subproblem from the master to `host_index`.
   void assign_subproblem(std::size_t host_index,
                          std::shared_ptr<solver::Subproblem> sp);
@@ -399,13 +381,13 @@ class Campaign {
   };
   [[nodiscard]] ShipPlan plan_subproblem_ship(std::size_t to_host,
                                               solver::Subproblem& sp);
-  /// Send `sp` from client `from_host` (-1 = the master) to `to_host`
-  /// and start it there on arrival, or report it lost if the receiver
+  /// Send `sp` from `from` (a client or the root) to `to_host` and
+  /// start it there on arrival, or report it lost if the receiver
   /// died meanwhile. kSubproblem plans the ship and puts one more
   /// subproblem in flight; kBaseShip re-sends the base block ahead of a
   /// renegotiated full start of a subproblem already in flight. Returns
   /// the transfer time charged.
-  double ship(std::ptrdiff_t from_host, std::size_t to_host,
+  double ship(Endpoint from, std::size_t to_host,
               std::shared_ptr<solver::Subproblem> sp,
               Msg kind = Msg::kSubproblem);
   void note_base_resident(std::size_t host_index);
@@ -446,12 +428,11 @@ class Campaign {
   /// the message/byte/latency accounting of everything it sends.
   struct SubMaster {
     std::string site;
-    std::uint32_t site_id = 0;
-    std::uint32_t endpoint = 0;  ///< interned "submaster:<site>"
+    Endpoint endpoint;  ///< interned "submaster:<site>" at its site
     std::uint64_t incarnation = 1;
     bool alive = true;
     solver::FingerprintFilter filter;  ///< clause dedup (relay + digest)
-    std::vector<std::pair<cnf::Clause, std::uint32_t>> digest;
+    ClauseBatch digest;  ///< LBD-capped clauses awaiting the next flush
     std::set<std::size_t> backlog;  ///< local hosts with pending requests
     bool work_requested = false;    ///< one WORK_REQUEST outstanding
     std::uint64_t ticks = 0;        ///< cadence counter (summary decimation)
@@ -475,14 +456,13 @@ class Campaign {
   void flush_digest(std::size_t sub);
   // Sub-master-side message handlers (delivery time).
   void sub_on_clauses(std::size_t sub, std::size_t from,
-                      std::shared_ptr<ClauseBatch> batch);
+                      std::shared_ptr<const ClauseBatch> batch);
   void sub_on_remote_digest(std::size_t sub,
-                            std::shared_ptr<ClauseBatch> batch);
+                            std::shared_ptr<const ClauseBatch> batch);
   void sub_on_broker(std::size_t sub, std::size_t peer_host);
-  /// In-site clause fan-out over one DeliveryBatch (exclude_host = the
-  /// originating client, or -1 to include everyone).
-  void sub_relay(std::size_t sub,
-                 std::shared_ptr<std::vector<cnf::Clause>> clauses,
+  /// In-site clause fan-out (exclude_host = the originating client, or
+  /// -1 to include everyone).
+  void sub_relay(std::size_t sub, std::shared_ptr<const ClauseBatch> batch,
                  std::ptrdiff_t exclude_host);
   /// Grant splits locally while the site has both backlog and idle
   /// hosts; request brokered work from the root when starving.
@@ -492,7 +472,8 @@ class Campaign {
   void root_on_work_request(std::size_t sub);
   void root_on_broker_failed(std::size_t peer_host);
   void root_on_site_summary();
-  void root_on_digest(std::size_t sub, std::shared_ptr<ClauseBatch> batch);
+  void root_on_digest(std::size_t sub,
+                      std::shared_ptr<const ClauseBatch> batch);
   void rehome_sub_master(std::size_t sub);
   /// Park a split request where this topology keeps it: the site
   /// backlog when a live sub-master covers the host, the root backlog
@@ -505,46 +486,46 @@ class Campaign {
   /// -1 if none.
   [[nodiscard]] std::ptrdiff_t best_idle_at_site(std::size_t sub) const;
   /// Route a shared-semantics client report up the tree: the site
-  /// sub-master when one covers the host (a dead one bounces the message
-  /// to the root, charging the extra hop), the root otherwise. With
+  /// sub-master when one covers the host, the root otherwise. With
   /// `forward_to_root`, a live sub-master immediately forwards the
   /// message root-ward (kRegister travels on as kSubRegister) — for
   /// reports whose decision is the root's alone.
   void send_up(std::size_t from_host, Msg kind, std::size_t bytes,
                sim::Callback handler, std::uint64_t flow = 0,
                bool forward_to_root = false);
-  /// Client -> sub-master send. `at_sub` runs at a live sub-master;
-  /// delivery at a dead one bounces the message to the root (extra hop
-  /// charged) and runs `at_root` there instead.
-  void deliver_at_sub(std::size_t sub, std::size_t from_host, Msg kind,
-                      std::size_t bytes, std::uint64_t flow,
-                      sim::Callback at_sub, sim::Callback at_root);
-  void send_sub_to_root(std::size_t sub, Msg kind, std::size_t bytes,
-                        sim::Callback handler, std::uint64_t flow = 0);
-  void send_root_to_sub(std::size_t sub, Msg kind, std::size_t bytes,
-                        sim::Callback handler, std::uint64_t flow = 0);
-  void send_sub_to_client(std::size_t sub, std::size_t to_host, Msg kind,
-                          std::size_t bytes, sim::Callback handler,
-                          std::uint64_t flow = 0);
+  /// Send to sub-master `sub`. A live sub-master counts the message in
+  /// sub_messages_handled and runs `at_sub`. A dead one counts a bounce,
+  /// then forwards the message to the root to run `at_root` there (extra
+  /// hop charged) or, without `at_root`, runs the alive-aware `at_sub`.
+  void deliver_at_sub(Endpoint from, std::size_t sub, Msg kind,
+                      std::size_t bytes, sim::Callback at_sub,
+                      sim::Callback at_root = {}, std::uint64_t flow = 0);
 
   // --- plumbing ----------------------------------------------------------
   /// Intern a new host's endpoint/site names (must be called once, in
   /// order, for every host appended to hosts_).
   void register_host_names(std::size_t host_index);
   [[nodiscard]] std::uint32_t kind_id(Msg kind) const noexcept {
-    return msg_ids_[static_cast<std::size_t>(kind)];
+    return msg_ids_[static_cast<std::size_t>(kind) - 1];
   }
+  /// The one point-to-point send: every message of the campaign goes
+  /// through here, and everything addressed to the root counts against
+  /// it (result.root_messages_handled, the flat/hier comparison metric).
   /// `flow` stitches the message into an existing trace flow; 0 lets the
   /// bus allocate a fresh single-hop flow (see sim::MessageHeader).
-  void send(std::uint32_t from, std::uint32_t from_site, std::uint32_t to,
-            std::uint32_t to_site, Msg kind, std::size_t bytes,
+  void send(Endpoint from, Endpoint to, Msg kind, std::size_t bytes,
             sim::Callback handler, std::uint64_t flow = 0);
-  void send_to_master(std::size_t from_host, Msg kind, std::size_t bytes,
-                      sim::Callback handler, std::uint64_t flow = 0);
-  void send_to_client(std::size_t to_host, Msg kind, std::size_t bytes,
-                      sim::Callback handler, std::uint64_t flow = 0);
+  /// Fan one `kind` message out from `from` to every live client that
+  /// `pick(host, client)` accepts, over one sim::DeliveryBatch (DESIGN.md
+  /// §4g); `deliver(client)` runs at each recipient still present on
+  /// arrival. Returns the number of recipients.
+  template <class Pick, class Deliver>
+  std::size_t fan_out(Endpoint from, Msg kind, std::size_t bytes, Pick pick,
+                      Deliver deliver);
+  /// Charged size of a clause batch; `lbd_tagged` adds the one-byte LBD
+  /// tag per clause of the hops to and from sub-masters.
   [[nodiscard]] static std::size_t clause_batch_bytes(
-      const std::vector<cnf::Clause>& batch);
+      const ClauseBatch& batch, bool lbd_tagged = false);
 
   cnf::CnfFormula formula_;
   std::string master_site_;
@@ -558,12 +539,10 @@ class Campaign {
   grid::ResourceDirectory directory_;
   std::vector<std::unique_ptr<sim::Host>> hosts_;
   std::vector<std::unique_ptr<Client>> clients_;
-  /// Pre-interned per-host ids, parallel to hosts_.
-  std::vector<std::uint32_t> endpoint_ids_;
-  std::vector<std::uint32_t> site_ids_;
-  std::uint32_t master_id_ = 0;
-  std::uint32_t master_site_id_ = 0;
-  std::array<std::uint32_t, static_cast<std::size_t>(Msg::kCount)> msg_ids_{};
+  /// Pre-interned per-host endpoints, parallel to hosts_.
+  std::vector<Endpoint> endpoints_;
+  Endpoint root_;  ///< "master" at the master's site
+  std::array<std::uint32_t, kMsgKinds> msg_ids_{};  ///< by Msg value - 1
 
   // Master state.
   bool problem_assigned_ = false;

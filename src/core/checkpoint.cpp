@@ -32,26 +32,7 @@ Checkpoint Checkpoint::from_bytes(const std::vector<std::uint8_t>& bytes) {
   cp.incarnation = in.var_u64();
   cp.epoch = in.var_u64();
   cp.base_epoch = in.var_u64();
-  const std::uint64_t num_units = in.var_u64();
-  if (num_units > in.remaining()) {
-    throw util::DecodeError("unit count exceeds buffer");
-  }
-  cp.units.reserve(num_units);
-  for (std::uint64_t i = 0; i < num_units; ++i) {
-    const std::uint64_t code = in.var_u64();
-    if (code < 2 || code > UINT32_MAX) {
-      throw util::DecodeError("unit literal code out of range");
-    }
-    solver::SubproblemUnit u;
-    u.lit = cnf::Lit::from_code(static_cast<std::uint32_t>(code));
-    cp.units.push_back(u);
-  }
-  for (std::uint64_t i = 0; i < num_units; i += 8) {
-    const std::uint8_t byte = in.u8();
-    for (std::uint64_t b = 0; b < 8 && i + b < num_units; ++b) {
-      cp.units[i + b].tainted = ((byte >> b) & 1u) != 0;
-    }
-  }
+  cp.units = solver::decode_units(in);
   cnf::decode_lit_array(in, cp.assumptions);
   cnf::decode_clause_stream(in, cp.learned);
   return cp;

@@ -68,19 +68,7 @@ struct Checkpoint {
     out.var_u64(incarnation);
     out.var_u64(epoch);
     out.var_u64(base_epoch);
-    out.var_u64(units.size());
-    for (const solver::SubproblemUnit& u : units) out.var_u64(u.lit.code());
-    std::uint8_t acc = 0;
-    int bits = 0;
-    for (const solver::SubproblemUnit& u : units) {
-      acc = static_cast<std::uint8_t>(acc | ((u.tainted ? 1u : 0u) << bits));
-      if (++bits == 8) {
-        out.u8(acc);
-        acc = 0;
-        bits = 0;
-      }
-    }
-    if (bits != 0) out.u8(acc);
+    solver::encode_units(out, units);
     cnf::encode_lit_array(out, assumptions);
     cnf::encode_clause_stream(out, std::span<const cnf::Clause>(learned));
   }

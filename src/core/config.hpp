@@ -44,16 +44,19 @@ struct GridSatConfig {
   double client_quantum_s = 1.0;
 
   /// A client asks for a split when its clause DB exceeds this fraction
-  /// of host memory ("will only use up to 60% of it", §3.3).
-  double mem_split_fraction = 0.60;
+  /// of host memory ("will only use up to 60% of it", §3.3). A constant:
+  /// the paper fixes it.
+  static constexpr double mem_split_fraction = 0.60;
 
   /// Hosts with less memory are not given work ("clients will terminate
   /// if the initial free memory size is below a given minimum (currently
   /// set to 128 MBytes)", §3.3) — expressed in simulated bytes.
   std::size_t min_client_memory = 2 * 1024 * 1024;
 
-  /// Client process start-up cost on a host.
-  double client_launch_s = 2.0;
+  /// Client process start-up cost on a host: the launch step the master
+  /// runs on every usable resource before the client registers (§3.3).
+  /// A constant; no scenario varies it.
+  static constexpr double client_launch_s = 2.0;
 
   /// Migration trigger (§3.4): an idle host whose rank exceeds the busy
   /// host's rank by this factor, with at least `migration_min_idle_at_site`
@@ -110,8 +113,9 @@ struct GridSatConfig {
   std::size_t inter_site_lbd_cap = 6;
 
   /// Cadence of the information service sampling host availability into
-  /// the NWS-analog forecasters.
-  double availability_sample_interval_s = 60.0;
+  /// the NWS-analog forecasters that rank resources (§3.3). A constant; no
+  /// scenario varies it.
+  static constexpr double availability_sample_interval_s = 60.0;
 
   std::uint64_t seed = 1;
 };

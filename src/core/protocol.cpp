@@ -1,35 +1,43 @@
 #include "core/protocol.hpp"
 
+#include <iterator>
+
 #include "cnf/wire.hpp"
+
+namespace gridsat::core {
+
+namespace {
+/// Wire names in type-byte order (Msg value - 1).
+constexpr const char* kMsgNames[] = {
+    "LAUNCH",          "REGISTER",          "SUBPROBLEM",
+    "SUBPROBLEM_ACK",  "SPLIT_REQUEST",     "SPLIT_GRANT",
+    "SPLIT_DONE",      "SPLIT_FAILED",      "MIGRATE_ORDER",
+    "MIGRATED",        "CLAUSES",           "SAT_FOUND",
+    "SUBPROBLEM_UNSAT", "CHECKPOINT",       "SUBPROBLEM_REJECT",
+    "CHECKPOINT_ACK",  "CHECKPOINT_NACK",   "BASE_MISS",
+    "BASE_SHIP",       "CANCEL_SUBPROBLEM", "CANCELLED",
+    "SUB_REGISTER",    "SITE_SUMMARY",      "CLAUSE_DIGEST",
+    "WORK_REQUEST",    "SPLIT_BROKER",      "BROKER_FAILED",
+    "SUB_HELLO",
+};
+static_assert(std::size(kMsgNames) == kMsgKinds);
+static_assert(static_cast<std::size_t>(Msg::kSubHello) == kMsgKinds);
+}  // namespace
+
+const char* to_string(Msg kind) noexcept {
+  const auto code = static_cast<std::size_t>(kind);
+  return code >= 1 && code <= kMsgKinds ? kMsgNames[code - 1] : "?";
+}
+
+}  // namespace gridsat::core
 
 namespace gridsat::core::protocol {
 
-const char* to_string(MessageType t) noexcept {
-  switch (t) {
-    case MessageType::kLaunch: return "LAUNCH";
-    case MessageType::kRegister: return "REGISTER";
-    case MessageType::kSubproblem: return "SUBPROBLEM";
-    case MessageType::kSubproblemAck: return "SUBPROBLEM_ACK";
-    case MessageType::kSplitRequest: return "SPLIT_REQUEST";
-    case MessageType::kSplitGrant: return "SPLIT_GRANT";
-    case MessageType::kSplitDone: return "SPLIT_DONE";
-    case MessageType::kSplitFailed: return "SPLIT_FAILED";
-    case MessageType::kMigrateOrder: return "MIGRATE_ORDER";
-    case MessageType::kMigrated: return "MIGRATED";
-    case MessageType::kClauses: return "CLAUSES";
-    case MessageType::kSatFound: return "SAT_FOUND";
-    case MessageType::kSubproblemUnsat: return "SUBPROBLEM_UNSAT";
-    case MessageType::kCheckpoint: return "CHECKPOINT";
-    case MessageType::kSubproblemReject: return "SUBPROBLEM_REJECT";
-    case MessageType::kCheckpointAck: return "CHECKPOINT_ACK";
-    case MessageType::kCheckpointNack: return "CHECKPOINT_NACK";
-    case MessageType::kBaseMiss: return "BASE_MISS";
-  }
-  return "?";
-}
+static_assert(std::variant_size_v<Message> ==
+              static_cast<std::size_t>(Msg::kBaseMiss));
 
-MessageType type_of(const Message& message) noexcept {
-  return static_cast<MessageType>(message.index() + 1);
+Msg type_of(const Message& message) noexcept {
+  return static_cast<Msg>(message.index() + 1);
 }
 
 namespace {
@@ -122,22 +130,22 @@ struct Encoder {
   }
 };
 
-Message decode_payload(MessageType type, util::ByteReader& in) {
+Message decode_payload(Msg type, util::ByteReader& in) {
   switch (type) {
-    case MessageType::kLaunch:
+    case Msg::kLaunch:
       return Launch{};
-    case MessageType::kRegister:
+    case Msg::kRegister:
       return Register{in.u32()};
-    case MessageType::kSubproblem: {
+    case Msg::kSubproblem: {
       SubproblemMsg m;
       m.subproblem = solver::Subproblem::deserialize(in);
       m.mode = m.subproblem.needs_base ? solver::WireMode::kBaseRef
                                        : solver::WireMode::kFull;
       return m;
     }
-    case MessageType::kSubproblemAck:
+    case Msg::kSubproblemAck:
       return SubproblemAck{in.u32()};
-    case MessageType::kSplitRequest: {
+    case Msg::kSplitRequest: {
       SplitRequest m;
       m.host_index = in.u32();
       const std::uint8_t reason = in.u8();
@@ -145,39 +153,39 @@ Message decode_payload(MessageType type, util::ByteReader& in) {
       m.reason = static_cast<SplitRequest::Reason>(reason);
       return m;
     }
-    case MessageType::kSplitGrant:
+    case Msg::kSplitGrant:
       return SplitGrant{in.u32()};
-    case MessageType::kSplitDone: {
+    case Msg::kSplitDone: {
       SplitDone m;
       m.from_host = in.u32();
       m.to_host = in.u32();
       return m;
     }
-    case MessageType::kSplitFailed: {
+    case Msg::kSplitFailed: {
       SplitFailed m;
       m.requester = in.u32();
       m.peer = in.u32();
       return m;
     }
-    case MessageType::kMigrateOrder:
+    case Msg::kMigrateOrder:
       return MigrateOrder{in.u32()};
-    case MessageType::kMigrated: {
+    case Msg::kMigrated: {
       Migrated m;
       m.from_host = in.u32();
       m.to_host = in.u32();
       return m;
     }
-    case MessageType::kClauses:
+    case Msg::kClauses:
       return ClauseBatch{decode_clauses(in)};
-    case MessageType::kSatFound: {
+    case Msg::kSatFound: {
       SatFound m;
       m.host_index = in.u32();
       m.model = decode_model(in);
       return m;
     }
-    case MessageType::kSubproblemUnsat:
+    case Msg::kSubproblemUnsat:
       return SubproblemUnsat{in.u32()};
-    case MessageType::kCheckpoint: {
+    case Msg::kCheckpoint: {
       CheckpointMsg m;
       m.host_index = in.u32();
       const std::uint64_t len = in.var_u64();
@@ -187,31 +195,33 @@ Message decode_payload(MessageType type, util::ByteReader& in) {
       m.checkpoint = Checkpoint::from_bytes(raw);
       return m;
     }
-    case MessageType::kSubproblemReject: {
+    case Msg::kSubproblemReject: {
       SubproblemReject m;
       m.host_index = in.u32();
       m.subproblem = solver::Subproblem::deserialize(in);
       return m;
     }
-    case MessageType::kCheckpointAck: {
+    case Msg::kCheckpointAck: {
       CheckpointAck m;
       m.host_index = in.u32();
       m.incarnation = in.var_u64();
       m.epoch = in.var_u64();
       return m;
     }
-    case MessageType::kCheckpointNack: {
+    case Msg::kCheckpointNack: {
       CheckpointNack m;
       m.host_index = in.u32();
       m.incarnation = in.var_u64();
       return m;
     }
-    case MessageType::kBaseMiss: {
+    case Msg::kBaseMiss: {
       BaseMiss m;
       m.host_index = in.u32();
       m.fingerprint = in.u64();
       return m;
     }
+    default:
+      break;  // campaign-only kinds carry no codec payload
   }
   throw util::DecodeError("unknown message type");
 }
@@ -235,13 +245,13 @@ std::optional<Message> decode(const std::vector<std::uint8_t>& bytes) {
     if (in.u8() != cnf::kWireFormatVersion) return std::nullopt;
     const std::uint8_t raw_type = in.u8();
     if (raw_type < 1 ||
-        raw_type > static_cast<std::uint8_t>(MessageType::kBaseMiss)) {
+        raw_type > static_cast<std::uint8_t>(Msg::kBaseMiss)) {
       return std::nullopt;
     }
     const std::uint32_t length = in.u32();
     if (length != in.remaining()) return std::nullopt;
     Message message =
-        decode_payload(static_cast<MessageType>(raw_type), in);
+        decode_payload(static_cast<Msg>(raw_type), in);
     if (!in.exhausted()) return std::nullopt;
     return message;
   } catch (const util::DecodeError&) {

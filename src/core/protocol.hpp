@@ -1,12 +1,15 @@
 // Typed wire protocol of GridSAT — the EveryWare-messaging analog made
-// concrete. The simulated Campaign delivers payloads as in-process
-// closures and only charges byte *counts*; this codec defines the actual
-// byte format each message would carry on a real network (and is what a
-// socket-transport port of the Campaign would serialize with). Round-trip
-// tests pin the format; the split payload reuses Subproblem's encoding,
-// clause batches and checkpoints theirs.
+// concrete. `Msg` is the one message schema: the simulated Campaign
+// sends every message under a Msg kind, and the codec writes the same
+// value as the frame's type byte. The Campaign delivers payloads as
+// in-process closures and only charges byte *counts*; this codec defines
+// the actual byte format each message would carry on a real network (and
+// is what a socket-transport port of the Campaign would serialize with).
+// Round-trip tests pin the format; the split payload reuses Subproblem's
+// encoding, clause batches and checkpoints theirs.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -18,9 +21,15 @@
 #include "solver/subproblem.hpp"
 #include "util/bytes.hpp"
 
-namespace gridsat::core::protocol {
+namespace gridsat::core {
 
-enum class MessageType : std::uint8_t {
+/// Every GridSAT message kind, one schema for the campaign and the codec.
+/// The value is the frame's type byte: kinds 1-18 have a codec payload
+/// (protocol::Message, in this order); 19-28 are campaign-only kinds the
+/// simulation charges by size but never encodes. Each kind is interned
+/// once per campaign under to_string(kind), so the send path never
+/// touches the strings.
+enum class Msg : std::uint8_t {
   kLaunch = 1,
   kRegister = 2,
   kSubproblem = 3,       ///< Figure-3 message 3 (also the initial assignment)
@@ -42,9 +51,30 @@ enum class MessageType : std::uint8_t {
                          ///< epoch gap); client must re-ship a full checkpoint
   kBaseMiss = 18,        ///< receiver of a base-ref payload does not hold the
                          ///< referenced base; master degrades to a full ship
+  kBaseShip = 19,        ///< master -> client: the base block, ahead of a
+                         ///< renegotiated full start
+  kCancelSubproblem = 20,  ///< master -> racer: a co-racer won; stand down
+  kCancelled = 21,         ///< racer -> master: tenancy abandoned, host idle
+  // Hierarchical-master protocol (DESIGN.md §4j).
+  kSubRegister = 22,   ///< sub-master -> root: registration forward
+  kSiteSummary = 23,   ///< sub-master -> root: cadenced site-state summary
+  kClauseDigest = 24,  ///< sub-master <-> root: deduped inter-site digest
+  kWorkRequest = 25,   ///< sub-master -> root: site starving (idle, no work)
+  kSplitBroker = 26,   ///< root -> sub-master: grant a split toward a peer
+  kBrokerFailed = 27,  ///< sub-master -> root: nothing left; release peer
+  kSubHello = 28,      ///< root -> site clients: fresh sub-master incarnation
 };
 
-const char* to_string(MessageType t) noexcept;
+/// Number of Msg kinds; valid type bytes are 1..kMsgKinds.
+inline constexpr std::size_t kMsgKinds = 28;
+
+/// Wire name of a kind ("SPLIT_REQUEST"); "?" for a value outside the
+/// schema.
+const char* to_string(Msg kind) noexcept;
+
+}  // namespace gridsat::core
+
+namespace gridsat::core::protocol {
 
 struct Launch {};
 struct Register {
@@ -123,7 +153,8 @@ using Message =
                  ClauseBatch, SatFound, SubproblemUnsat, CheckpointMsg,
                  SubproblemReject, CheckpointAck, CheckpointNack, BaseMiss>;
 
-[[nodiscard]] MessageType type_of(const Message& message) noexcept;
+/// The variant index is the schema order, so the kind is index + 1.
+[[nodiscard]] Msg type_of(const Message& message) noexcept;
 
 /// Encode with a 6-byte header (format version + type + payload length)
 /// followed by the typed payload. The version byte makes any future

@@ -14,6 +14,29 @@ void Subproblem::serialize(util::ByteWriter& out, WireMode mode) const {
   serialize_to(out, mode);
 }
 
+std::vector<SubproblemUnit> decode_units(util::ByteReader& in) {
+  const std::uint64_t num_units = in.var_u64();
+  if (num_units > in.remaining()) {
+    throw util::DecodeError("unit count exceeds buffer");
+  }
+  std::vector<SubproblemUnit> units;
+  units.reserve(num_units);
+  for (std::uint64_t i = 0; i < num_units; ++i) {
+    const std::uint64_t code = in.var_u64();
+    if (code < 2 || code > UINT32_MAX) {
+      throw util::DecodeError("unit literal code out of range");
+    }
+    units.push_back({cnf::Lit::from_code(static_cast<std::uint32_t>(code))});
+  }
+  for (std::uint64_t i = 0; i < num_units; i += 8) {
+    const std::uint8_t byte = in.u8();
+    for (std::uint64_t b = 0; b < 8 && i + b < num_units; ++b) {
+      units[i + b].tainted = ((byte >> b) & 1u) != 0;
+    }
+  }
+  return units;
+}
+
 Subproblem Subproblem::deserialize(util::ByteReader& in) {
   const std::uint8_t version = in.u8();
   if (version != cnf::kWireFormatVersion) {
@@ -26,26 +49,7 @@ Subproblem Subproblem::deserialize(util::ByteReader& in) {
   }
   Subproblem sp;
   sp.num_vars = in.u32();
-  const std::uint64_t num_units = in.var_u64();
-  if (num_units > in.remaining()) {
-    throw util::DecodeError("unit count exceeds buffer");
-  }
-  sp.units.reserve(num_units);
-  for (std::uint64_t i = 0; i < num_units; ++i) {
-    const std::uint64_t code = in.var_u64();
-    if (code < 2 || code > UINT32_MAX) {
-      throw util::DecodeError("unit literal code out of range");
-    }
-    SubproblemUnit u;
-    u.lit = cnf::Lit::from_code(static_cast<std::uint32_t>(code));
-    sp.units.push_back(u);
-  }
-  for (std::uint64_t i = 0; i < num_units; i += 8) {
-    const std::uint8_t byte = in.u8();
-    for (std::uint64_t b = 0; b < 8 && i + b < num_units; ++b) {
-      sp.units[i + b].tainted = ((byte >> b) & 1u) != 0;
-    }
-  }
+  sp.units = decode_units(in);
   cnf::decode_lit_array(in, sp.assumptions);
   sp.path = in.str();
   sp.base_fingerprint = in.u64();

@@ -36,6 +36,30 @@ struct SubproblemUnit {
   friend bool operator==(const SubproblemUnit&, const SubproblemUnit&) = default;
 };
 
+/// Unit-list codec shared by the subproblem and checkpoint payloads: the
+/// count, each unit's literal code, then the taint flags as an LSB-first
+/// bitmap (one bit per unit instead of one byte).
+template <class W>
+void encode_units(W& out, std::span<const SubproblemUnit> units) {
+  out.var_u64(units.size());
+  for (const SubproblemUnit& u : units) out.var_u64(u.lit.code());
+  std::uint8_t acc = 0;
+  int bits = 0;
+  for (const SubproblemUnit& u : units) {
+    acc = static_cast<std::uint8_t>(acc | ((u.tainted ? 1u : 0u) << bits));
+    if (++bits == 8) {
+      out.u8(acc);
+      acc = 0;
+      bits = 0;
+    }
+  }
+  if (bits != 0) out.u8(acc);
+}
+
+/// Inverse of encode_units; throws util::DecodeError on a count larger
+/// than the buffer or a literal code out of range.
+[[nodiscard]] std::vector<SubproblemUnit> decode_units(util::ByteReader& in);
+
 /// How a subproblem goes on the wire: kFull ships the problem-clause
 /// block; kBaseRef replaces it with the base-formula fingerprint (only
 /// valid when the receiver's cached base matches — the master tracks
@@ -107,20 +131,7 @@ struct Subproblem {
     out.u8(cnf::kWireFormatVersion);
     out.u8(mode == WireMode::kBaseRef ? detail::kSubproblemFlagBaseRef : 0);
     out.u32(num_vars);
-    out.var_u64(units.size());
-    for (const SubproblemUnit& u : units) out.var_u64(u.lit.code());
-    // Taint flags as a bitmap (LSB-first) instead of one byte per unit.
-    std::uint8_t acc = 0;
-    int bits = 0;
-    for (const SubproblemUnit& u : units) {
-      acc = static_cast<std::uint8_t>(acc | ((u.tainted ? 1u : 0u) << bits));
-      if (++bits == 8) {
-        out.u8(acc);
-        acc = 0;
-        bits = 0;
-      }
-    }
-    if (bits != 0) out.u8(acc);
+    encode_units(out, units);
     cnf::encode_lit_array(out, std::span<const cnf::Lit>(assumptions));
     out.str(path);
     out.u64(base_fingerprint);

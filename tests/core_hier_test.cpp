@@ -145,6 +145,46 @@ TEST(HierTest, SubMasterDeathBouncesRehomesAndStillCertifies) {
   EXPECT_TRUE(check.valid) << check.message;
 }
 
+TEST(HierTest, MasterMessageCountsMatchBusRecords) {
+  // Every send goes through one endpoint-addressed path, so the per-tier
+  // counters must agree with what the bus recorded: each message to the
+  // root is counted once, and every message a sub-master handled or
+  // bounced was addressed to it (messages still in flight at the verdict
+  // are never delivered, hence <=).
+  const CnfFormula f = gen::pigeonhole_unsat(8);
+  struct Case {
+    std::size_t sub_masters;
+    bool kill_sub_master;
+  };
+  for (const Case c : {Case{0, false}, Case{4, false}, Case{4, true}}) {
+    Campaign campaign(f, "grid0", four_site_testbed(),
+                      hier_config(c.sub_masters));
+    campaign.bus().enable_trace();
+    // Early enough that in-flight client reports bounce off the corpse.
+    if (c.kill_sub_master) campaign.schedule_sub_master_failure("grid0", 2.0);
+    const GridSatResult result = campaign.run();
+    ASSERT_EQ(result.status, CampaignStatus::kUnsat);
+    std::uint64_t to_root = 0;
+    std::uint64_t to_subs = 0;
+    for (const sim::MessageRecord& r : campaign.bus().trace()) {
+      if (r.to == "master") ++to_root;
+      if (r.to.rfind("submaster:", 0) == 0) ++to_subs;
+    }
+    SCOPED_TRACE(testing::Message() << "sub_masters=" << c.sub_masters
+                                    << " kill=" << c.kill_sub_master);
+    EXPECT_GT(to_root, 0u);
+    EXPECT_EQ(result.root_messages_handled, to_root);
+    EXPECT_LE(result.sub_messages_handled + result.sub_master_bounces,
+              to_subs);
+    if (c.sub_masters == 0) {
+      EXPECT_EQ(to_subs, 0u);
+    }
+    if (c.kill_sub_master) {
+      EXPECT_GT(result.sub_master_bounces, 0u);
+    }
+  }
+}
+
 TEST(HierTest, SameSeedTracesAreByteIdenticalPerTopology) {
   const CnfFormula f = gen::urquhart_like(8, 11);
   for (const std::size_t subs : {std::size_t{0}, std::size_t{4}}) {

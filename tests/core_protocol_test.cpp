@@ -3,6 +3,12 @@
 // clause batches, checkpoints) survive encode/decode intact.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <utility>
+#include <variant>
+#include <vector>
+
 #include "core/protocol.hpp"
 #include "gen/pigeonhole.hpp"
 #include "solver/cdcl.hpp"
@@ -151,9 +157,52 @@ TEST(ProtocolTest, CheckpointRoundTrips) {
 }
 
 TEST(ProtocolTest, TypeNames) {
-  EXPECT_STREQ(to_string(MessageType::kSplitRequest), "SPLIT_REQUEST");
-  EXPECT_STREQ(to_string(MessageType::kSubproblem), "SUBPROBLEM");
-  EXPECT_STREQ(to_string(MessageType::kCheckpoint), "CHECKPOINT");
+  // One schema: every kind has a distinct, non-empty wire name.
+  std::set<std::string> names;
+  for (std::size_t code = 1; code <= kMsgKinds; ++code) {
+    const std::string name = to_string(static_cast<Msg>(code));
+    EXPECT_FALSE(name.empty());
+    EXPECT_NE(name, "?") << "code " << code;
+    EXPECT_TRUE(names.insert(name).second) << "duplicate name " << name;
+  }
+  EXPECT_STREQ(to_string(static_cast<Msg>(0)), "?");
+  EXPECT_STREQ(to_string(static_cast<Msg>(kMsgKinds + 1)), "?");
+
+  // Each codec payload's kind is the Msg carrying its wire name, and the
+  // frame's type byte is that Msg's value.
+  const std::vector<std::pair<Message, std::string>> payloads = {
+      {Launch{}, "LAUNCH"},
+      {Register{}, "REGISTER"},
+      {SubproblemMsg{}, "SUBPROBLEM"},
+      {SubproblemAck{}, "SUBPROBLEM_ACK"},
+      {SplitRequest{}, "SPLIT_REQUEST"},
+      {SplitGrant{}, "SPLIT_GRANT"},
+      {SplitDone{}, "SPLIT_DONE"},
+      {SplitFailed{}, "SPLIT_FAILED"},
+      {MigrateOrder{}, "MIGRATE_ORDER"},
+      {Migrated{}, "MIGRATED"},
+      {ClauseBatch{}, "CLAUSES"},
+      {SatFound{}, "SAT_FOUND"},
+      {SubproblemUnsat{}, "SUBPROBLEM_UNSAT"},
+      {CheckpointMsg{}, "CHECKPOINT"},
+      {SubproblemReject{}, "SUBPROBLEM_REJECT"},
+      {CheckpointAck{}, "CHECKPOINT_ACK"},
+      {CheckpointNack{}, "CHECKPOINT_NACK"},
+      {BaseMiss{}, "BASE_MISS"},
+  };
+  ASSERT_EQ(payloads.size(), std::variant_size_v<Message>);
+  for (const auto& [message, name] : payloads) {
+    const Msg kind = type_of(message);
+    EXPECT_EQ(to_string(kind), name);
+    const auto frame = encode(message);
+    ASSERT_GE(frame.size(), 2u);
+    EXPECT_EQ(frame[1], static_cast<std::uint8_t>(kind)) << name;
+  }
+  // Campaign-only kinds carry no codec payload: a frame claiming one is
+  // rejected.
+  const std::uint8_t base_ship = static_cast<std::uint8_t>(Msg::kBaseShip);
+  EXPECT_FALSE(
+      decode({cnf::kWireFormatVersion, base_ship, 0, 0, 0, 0}).has_value());
 }
 
 TEST(ProtocolTest, MalformedFramesRejected) {
