@@ -812,7 +812,7 @@ void CdclSolver::apply_otf_strengthening() {
       // DRAT add-then-delete: the strengthened clause is an intermediate
       // resolvent of the conflict analysis, hence RUP against the current
       // database; only after it is on record may the weaker original go.
-      proof_add(strengthened);
+      proof_emit(ProofEvent::kAdd, strengthened);
       proof_delete(c);  // reads the pre-strengthening literals
     }
     detach(c);  // watcher slots are about to become stale
@@ -863,7 +863,9 @@ void CdclSolver::learn_and_attach(const std::vector<Lit>& learned,
                                   std::uint32_t lbd) {
   ++stats_.learned_clauses;
   stats_.learned_literals += learned.size();
-  if (proof_on()) proof_add(cnf::Clause(learned.begin(), learned.end()));
+  if (proof_on()) {
+    proof_emit(ProofEvent::kAdd, cnf::Clause(learned.begin(), learned.end()));
+  }
   if (share_cb_) {
     ++stats_.exported_clauses;
     share_cb_(cnf::Clause(learned.begin(), learned.end()), lbd);
@@ -942,17 +944,15 @@ std::optional<Lit> CdclSolver::pick_branch() {
   return std::nullopt;
 }
 
-void CdclSolver::proof_add(cnf::Clause clause) {
-  if (proof_sink_) proof_sink_->proof_add(clause);
-  proof_.add(std::move(clause));
+void CdclSolver::proof_emit(ProofEvent event, cnf::Clause clause) {
+  ProofSink& sink = proof_sink_ != nullptr ? *proof_sink_ : proof_;
+  sink.proof_event(event, std::move(clause));
 }
 
 void CdclSolver::proof_delete(ClauseRef cref) {
   if (!proof_on()) return;
   const auto lits = arena_.lits(cref);
-  // Deletions stay local: in a distributed proof another worker may still
-  // depend on its own copy of the clause (see solver/proof.hpp).
-  proof_.remove(cnf::Clause(lits.begin(), lits.end()));
+  proof_emit(ProofEvent::kDelete, cnf::Clause(lits.begin(), lits.end()));
 }
 
 void CdclSolver::log_terminal() {
@@ -961,7 +961,7 @@ void CdclSolver::log_terminal() {
   cnf::Clause leaf;
   leaf.reserve(assumptions_.size());
   for (const Lit a : assumptions_) leaf.push_back(~a);
-  proof_.add(std::move(leaf));
+  proof_emit(ProofEvent::kTerminal, std::move(leaf));
 }
 
 void CdclSolver::reduce_db() {
@@ -1108,15 +1108,14 @@ bool CdclSolver::merge_imports() {
   batch.swap(import_queue_);
   obs::trace_event(tracer_, trace_worker_, obs::EventKind::kClauseImport,
                    batch.size());
-  for (const cnf::Clause& c : batch) {
+  for (cnf::Clause& c : batch) {
     ++stats_.imported_clauses;
-    // Local log only: the learner's own proof_add already placed this
-    // clause in any shared sink, earlier in arrival order.
-    if (proof_on()) proof_.add(c);
     const std::size_t clauses_before = arena_.num_learned();
     const std::size_t trail_before = trail_.size();
     ClauseRef imported_ref = kNoClause;
-    if (!add_clause_at_level0(c, /*learned=*/true, &imported_ref)) {
+    const bool ok = add_clause_at_level0(c, /*learned=*/true, &imported_ref);
+    if (proof_on()) proof_emit(ProofEvent::kImport, std::move(c));
+    if (!ok) {
       root_conflict_ = true;  // paper §3.2 case 3: all literals false
       return false;
     }
@@ -1150,7 +1149,7 @@ bool CdclSolver::simplify_at_level0() {
     const std::size_t level0_end = level0_size();
     for (std::size_t i = proof_logged_units_; i < level0_end; ++i) {
       if (!vars_[trail_[i].var()].taint) {
-        proof_add(cnf::Clause{trail_[i]});
+        proof_emit(ProofEvent::kAdd, cnf::Clause{trail_[i]});
       }
     }
     proof_logged_units_ = level0_end;

@@ -155,13 +155,13 @@ struct SolverConfig {
   /// the breakdown.
   bool measure_propagation = false;
 
-  /// Record a DRUP-style clausal proof (solver/proof.hpp). Adds every
-  /// learned (and imported) clause and every deletion to the log. An
-  /// UNSAT run ends the log with the refutation terminal: the empty
-  /// clause for a full-formula solver, or the negated-guiding-path
-  /// clause ¬(assumptions) for a solver running under split assumptions
-  /// (the leaf a DistributedProofBuilder stitches on). Compiled out
-  /// entirely when kProofCompiledIn is false (CMake GRIDSAT_PROOF=OFF).
+  /// Record a DRUP-style clausal proof (solver/proof.hpp) in proof(), or
+  /// stream it to set_proof_sink()'s sink: every learned (and imported)
+  /// clause and every deletion. An UNSAT run ends it with the refutation
+  /// terminal: the empty clause for a full-formula solver, or ¬(assumptions)
+  /// for a solver running under split assumptions (the leaf a
+  /// DistributedProofBuilder stitches on). Compiled out entirely when
+  /// kProofCompiledIn is false (CMake GRIDSAT_PROOF=OFF).
   bool log_proof = false;
 };
 
@@ -369,7 +369,7 @@ class CdclSolver {
   /// an empty string when all invariants hold (tests call this).
   [[nodiscard]] std::string check_invariants() const;
 
-  /// The recorded proof (empty unless config.log_proof).
+  /// The recorded proof (empty unless config.log_proof and no sink is set).
   [[nodiscard]] const ProofLog& proof() const noexcept { return proof_; }
 
   /// The pure guiding-path assumptions this solver runs under: split
@@ -390,13 +390,11 @@ class CdclSolver {
     cancel_ = flag;
   }
 
-  /// Stream clause additions into a shared arrival-ordered log: learned
-  /// clauses and logged level-0 units are forwarded; imports are not
-  /// (their learner already contributed them), deletions are not (unsound
-  /// across workers), and neither is the refutation terminal (the
-  /// orchestrator records the leaf via DistributedProofBuilder::add_leaf).
-  /// Not owned; must outlive the solver's use. Only consulted while
-  /// config.log_proof is on.
+  /// Send every proof event to `sink` instead of proof(): the solver then
+  /// keeps no private record, and the sink decides what to keep (the
+  /// shared DistributedProofBuilder keeps additions only). Null restores
+  /// the solver's own log. Not owned; must outlive the solver's use. Only
+  /// consulted while config.log_proof is on.
   void set_proof_sink(ProofSink* sink) noexcept { proof_sink_ = sink; }
 
  private:
@@ -656,7 +654,7 @@ class CdclSolver {
   [[nodiscard]] bool proof_on() const noexcept {
     return kProofCompiledIn && config_.log_proof;
   }
-  void proof_add(cnf::Clause clause);
+  void proof_emit(ProofEvent event, cnf::Clause clause);
   void proof_delete(ClauseRef cref);
   /// Log the refutation terminal once: ¬(assumptions), which is the empty
   /// clause for a full-formula solver.
@@ -664,7 +662,7 @@ class CdclSolver {
 
   util::Xoshiro256 rng_;
   ProofLog proof_;
-  ProofSink* proof_sink_ = nullptr;
+  ProofSink* proof_sink_ = nullptr;  ///< null: proof_ (safe across moves)
   std::vector<cnf::Lit> assumptions_;
   bool terminal_logged_ = false;
   SolverStats stats_;

@@ -309,12 +309,12 @@ namespace {
 /// covers the cube without ever containing an exact sibling pair. The
 /// leaves still cover the whole assumption space iff their negated-path
 /// clauses are jointly unsatisfiable over the split variables, so refute
-/// that residual CNF with a proof-logging solver and splice the derivation
-/// into the global log: every spliced step is RUP against the leaf clauses,
-/// all of which precede it. A model instead names the exact guiding path no
-/// leaf refutes.
+/// that residual CNF with a solver that streams its derivation into the
+/// global log through `sink`: every kept step is RUP against the leaf
+/// clauses, all of which precede it. A model instead names the exact
+/// guiding path no leaf refutes.
 bool refute_residual_cover(const std::set<std::vector<std::uint32_t>>& sets,
-                           ProofLog& log, std::string& error) {
+                           ProofSink& sink, std::string& error) {
   cnf::Var max_var = 0;
   for (const std::vector<std::uint32_t>& s : sets) {
     for (const std::uint32_t code : s) {
@@ -334,6 +334,7 @@ bool refute_residual_cover(const std::set<std::vector<std::uint32_t>>& sets,
   SolverConfig config;
   config.log_proof = true;
   CdclSolver refuter(residual, config);
+  refuter.set_proof_sink(&sink);
   if (refuter.solve() != SolveStatus::kUnsat) {
     // The model, restricted to the split variables, is a guiding path that
     // no recorded leaf refutes: a subproblem was dropped outright or a
@@ -364,18 +365,16 @@ bool refute_residual_cover(const std::set<std::vector<std::uint32_t>>& sets,
         "compiled in";
     return false;
   }
-  for (const ProofStep& step : refuter.proof().steps()) {
-    if (step.deletion) continue;  // deletions are local to the refuter
-    log.add(step.clause);
-  }
   return true;
 }
 
 }  // namespace
 
-void DistributedProofBuilder::proof_add(const cnf::Clause& clause) {
+void DistributedProofBuilder::proof_event(ProofEvent event,
+                                          cnf::Clause clause) {
+  if (event != ProofEvent::kAdd) return;
   const std::scoped_lock lock(mu_);
-  log_.add(clause);
+  log_.add(std::move(clause));
 }
 
 void DistributedProofBuilder::add_leaf(
@@ -473,7 +472,7 @@ bool DistributedProofBuilder::stitch() {
       // cube as overlapping split trees (checkpoint recovery re-splits
       // under a fresh decision order). Hand the residual sets to the
       // complete refutation fallback.
-      if (!refute_residual_cover(sets_, log_, stitch_error_)) {
+      if (!refute_residual_cover(sets_, *this, stitch_error_)) {
         return stitch_ok_ = false;
       }
       if (!log_.ends_with_empty_clause()) log_.add_empty();

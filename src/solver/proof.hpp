@@ -16,11 +16,11 @@
 //
 // Distributed runs (ParallelSolver, Campaign) extend this to a single
 // global refutation (DESIGN.md §4d):
-//   * every solver streams its clause additions, in arrival order, into
-//     one shared adds-only log (a DistributedProofBuilder); deletions are
-//     dropped — RUP is monotone under database growth, and a deletion
-//     replayed from one worker would remove the single shared copy other
-//     workers still depend on;
+//   * every solver streams each proof event to one sink, here a shared log
+//     (a DistributedProofBuilder) that keeps additions only, in arrival
+//     order: a deletion replayed from one worker would remove the single
+//     shared copy others still depend on (RUP is monotone under growth), an
+//     import is on record from its learner, and a terminal repeats a leaf;
 //   * a subproblem refuted under guiding-path assumptions contributes the
 //     *negated-assumption* clause as its leaf;
 //   * stitch() resolves sibling leaves bottom-up (¬(P∧d) and ¬(P∧¬d)
@@ -28,8 +28,8 @@
 //     out. When checkpoint recovery re-splits a subtree under a fresh
 //     decision order the leaves form OVERLAPPING trees with no exact
 //     siblings; stitch() then refutes the residual leaf clauses with a
-//     proof-logging CdclSolver and splices that derivation in (each step
-//     is RUP against the leaf clauses preceding it). A genuinely
+//     CdclSolver that streams its derivation straight into the log (each
+//     step is RUP against the leaf clauses preceding it). A genuinely
 //     incomplete leaf cover — the signature of a dropped subproblem or a
 //     stale checkpoint — makes stitch() fail and name the never-refuted
 //     guiding path, which is exactly what the certification fuzz oracle
@@ -66,16 +66,29 @@ struct ProofStep {
   friend bool operator==(const ProofStep&, const ProofStep&) = default;
 };
 
-/// Append-only proof record. The solver writes it; the checker replays it.
-class ProofLog {
+/// One clause of a solver's proof stream: derived here (learned, strengthened
+/// or a level-0 unit), deleted, imported, or the terminal ¬(assumptions).
+enum class ProofEvent : std::uint8_t { kAdd, kDelete, kImport, kTerminal };
+
+/// Where a solver streams its proof. Each event goes to exactly one sink,
+/// which decides what to keep; the clause arrives by value, built once.
+class ProofSink {
  public:
-  void add(cnf::Clause clause) {
-    steps_.push_back(ProofStep{false, std::move(clause)});
+  virtual ~ProofSink() = default;
+  virtual void proof_event(ProofEvent event, cnf::Clause clause) = 0;
+};
+
+/// Append-only proof record. The solver writes it; the checker replays it.
+/// As a sink it keeps every event, a kDelete as a deletion step.
+class ProofLog final : public ProofSink {
+ public:
+  void proof_event(ProofEvent event, cnf::Clause clause) override {
+    steps_.push_back(
+        ProofStep{event == ProofEvent::kDelete, std::move(clause)});
   }
-  void remove(cnf::Clause clause) {
-    steps_.push_back(ProofStep{true, std::move(clause)});
-  }
-  void add_empty() { steps_.push_back(ProofStep{false, {}}); }
+  void add(cnf::Clause c) { proof_event(ProofEvent::kAdd, std::move(c)); }
+  void remove(cnf::Clause c) { proof_event(ProofEvent::kDelete, std::move(c)); }
+  void add_empty() { add({}); }
 
   [[nodiscard]] const std::vector<ProofStep>& steps() const noexcept {
     return steps_;
@@ -161,28 +174,20 @@ class ProofChecker {
 ProofCheckResult certify(const cnf::CnfFormula& formula,
                          const ProofLog& proof);
 
-/// Where a solver streams its proof additions when it is one voice in a
-/// distributed refutation (implemented by DistributedProofBuilder).
-class ProofSink {
- public:
-  virtual ~ProofSink() = default;
-  virtual void proof_add(const cnf::Clause& clause) = 0;
-};
-
 /// Accumulates the global arrival-ordered adds-only proof of a
 /// distributed UNSAT run, then stitches the split tree shut.
 ///
 /// Usage: hand the builder (as a ProofSink) to every solver; call
 /// add_leaf(assumptions) each time a subproblem is refuted; after the
 /// run's verdict, call stitch() and check the log with certify().
-/// proof_add/add_leaf are mutex-serialized so ParallelSolver workers can
+/// proof_event/add_leaf are mutex-serialized so ParallelSolver workers can
 /// share one builder; the Campaign's virtual-time loop is single-threaded
-/// and pays one uncontended lock per event.
+/// and pays one uncontended lock per kept addition.
 class DistributedProofBuilder final : public ProofSink {
  public:
-  /// Arrival-ordered clause addition (learned or imported). Deletions are
-  /// intentionally not representable here — see the header comment.
-  void proof_add(const cnf::Clause& clause) override;
+  /// The shared log's keep rule: kAdd clauses are moved in, in arrival
+  /// order; every other event is dropped (see the header comment).
+  void proof_event(ProofEvent event, cnf::Clause clause) override;
 
   /// Record that a subproblem with this guiding-path assumption set was
   /// refuted, and append its negated-assumption clause to the log. An
@@ -194,8 +199,8 @@ class DistributedProofBuilder final : public ProofSink {
   /// Resolve sibling leaves bottom-up and append the resolvents (and the
   /// final empty clause) to the log; leaves that form overlapping split
   /// trees (checkpoint recovery re-splits under a fresh decision order)
-  /// are closed by refuting the residual leaf clauses with a
-  /// proof-logging solver and splicing that derivation in. Returns false
+  /// are closed by refuting the residual leaf clauses with a solver that
+  /// streams its derivation into the log. Returns false
   /// — leaving the log without an empty clause — when the recorded leaves
   /// do not cover the split tree; stitch_error() then names the
   /// never-refuted guiding path. Duplicate and ancestor-subsumed leaves
@@ -214,11 +219,10 @@ class DistributedProofBuilder final : public ProofSink {
   using LitSet = std::vector<std::uint32_t>;
 
   /// Subsumption-reducing insert: skipped if a subset is present; erases
-  /// supersets. Returns true if the collection now contains a set that is
-  /// a subset of (or equal to) `s`.
+  /// supersets.
   void insert_reduced(LitSet s);
 
-  mutable std::mutex mu_;
+  mutable std::recursive_mutex mu_;  // stitch()'s refuter streams in
   ProofLog log_;
   std::set<LitSet> sets_;
   std::size_t leaves_ = 0;

@@ -131,12 +131,14 @@ TEST(HierTest, SubMasterDeathBouncesRehomesAndStillCertifies) {
   config.solver.log_proof = true;
   const CnfFormula f = gen::pigeonhole_unsat(8);
   Campaign campaign(f, "grid0", four_site_testbed(), config);
-  // Kill the master site's sub-master while splits and clause relays are
-  // in flight; kill a second one later in the endgame.
-  campaign.schedule_sub_master_failure("grid0", 8.0);
+  // Kill the master site's sub-master early, while client reports, splits
+  // and clause relays are still addressed to it, so some of them bounce;
+  // kill a second one later in the endgame.
+  campaign.schedule_sub_master_failure("grid0", 2.0);
   campaign.schedule_sub_master_failure("grid1", 20.0);
   const GridSatResult result = campaign.run();
   ASSERT_EQ(result.status, CampaignStatus::kUnsat);
+  EXPECT_GT(result.sub_master_bounces, 0u);
   EXPECT_GE(result.sub_master_rehomes, 1u);
   // No proof leaf may be lost to the failure: the stitched refutation
   // must still certify against the original formula.

@@ -7,6 +7,8 @@
 #include <optional>
 #include <sstream>
 
+#include "core/campaign.hpp"
+#include "core/testbeds.hpp"
 #include "gen/graph_color.hpp"
 #include "gen/pigeonhole.hpp"
 #include "gen/random_ksat.hpp"
@@ -437,6 +439,12 @@ TEST_P(ParallelCertifySweep, VerdictMatchesBruteForceAndCertifies) {
   // the same invariant on split trees.
   EXPECT_EQ(result.stats.subproblems_refuted, result.stats.splits + 1);
   ASSERT_TRUE(result.proof != nullptr);
+  // The shared log keeps additions only: a worker's deletion must never
+  // reach it (DistributedProofTest.SinkAttachedSolverKeepsNoPrivateLog
+  // checks the same rule on one solver).
+  for (const ProofStep& step : result.proof->steps()) {
+    ASSERT_FALSE(step.deletion) << "threads " << threads << " seed " << seed;
+  }
   ASSERT_TRUE(result.proof_stitched) << result.proof_error;
   const ProofCheckResult check = certify(f, *result.proof);
   EXPECT_TRUE(check.valid) << check.message << " at step "
@@ -446,6 +454,106 @@ TEST_P(ParallelCertifySweep, VerdictMatchesBruteForceAndCertifies) {
 INSTANTIATE_TEST_SUITE_P(Sweep, ParallelCertifySweep,
                          testing::Combine(testing::Values(1, 2, 4),
                                           testing::Range(0, 16)));
+
+TEST(DistributedProofTest, SinkAttachedSolverKeepsNoPrivateLog) {
+  // One proof stream per solver: with a sink attached, the solver keeps
+  // no record of its own, and the shared log keeps exactly the additions
+  // a sinkless twin records, without its deletions, imports and terminal.
+  REQUIRE_PROOF_HOOKS();
+  const CnfFormula f = gen::pigeonhole_unsat(7);
+  SolverConfig config = proof_config();
+  config.reduce_base = 50;  // force deletions mid-run
+  config.reduce_growth = 1.05;
+  CdclSolver donor(f, config);
+  std::vector<cnf::Clause> exports;
+  donor.set_share_callback([&exports](const cnf::Clause& c, std::uint32_t) {
+    if (exports.size() < 20) exports.push_back(c);
+  });
+  while (!donor.can_split() && donor.solve(200) == SolveStatus::kUnknown) {
+  }
+  ASSERT_TRUE(donor.can_split());
+  const Subproblem branch = donor.split();
+  ASSERT_FALSE(branch.assumptions.empty());
+  ASSERT_FALSE(exports.empty());
+
+  CdclSolver twin(branch, config);
+  CdclSolver solver(branch, config);
+  DistributedProofBuilder builder;
+  solver.set_proof_sink(&builder);
+  twin.import_clauses(exports);
+  solver.import_clauses(exports);
+  ASSERT_EQ(twin.solve(), SolveStatus::kUnsat);
+  ASSERT_EQ(solver.solve(), SolveStatus::kUnsat);
+  EXPECT_TRUE(solver.proof().steps().empty());
+  ASSERT_GT(solver.stats().imported_clauses, 0u);
+
+  // The twin's own log holds every event: additions, the imports (logged
+  // as additions), deletions, and the terminal ¬(assumptions) last.
+  std::vector<ProofStep> twin_additions;
+  std::size_t twin_deletions = 0;
+  for (const ProofStep& step : twin.proof().steps()) {
+    if (step.deletion) {
+      ++twin_deletions;
+    } else {
+      twin_additions.push_back(step);
+    }
+  }
+  EXPECT_GT(twin_deletions, 0u) << "expected deletion steps in the twin";
+  ASSERT_FALSE(twin_additions.empty());
+  EXPECT_EQ(twin_additions.back().clause.size(), branch.assumptions.size());
+
+  const std::vector<ProofStep>& shared = builder.log().steps();
+  for (const ProofStep& step : shared) EXPECT_FALSE(step.deletion);
+  EXPECT_EQ(shared.size() + twin.stats().imported_clauses + 1,
+            twin_additions.size());
+  // In order, every shared step is one of the twin's additions.
+  std::size_t next = 0;
+  for (const ProofStep& step : shared) {
+    while (next < twin_additions.size() && !(twin_additions[next] == step)) {
+      ++next;
+    }
+    ASSERT_LT(next, twin_additions.size()) << "shared step not in the twin";
+    ++next;
+  }
+}
+
+TEST(DistributedProofTest, CampaignClientsKeepNoPrivateLog) {
+  // In a certified campaign every client solver streams into the shared
+  // builder, so no live client solver holds a private proof: probed
+  // mid-run at every virtual second, and again after the verdict.
+  REQUIRE_PROOF_HOOKS();
+  const CnfFormula f = gen::pigeonhole_unsat(7);
+  core::GridSatConfig config;
+  config.split_timeout_s = 2.0;
+  config.overall_timeout_s = 50000.0;
+  config.client_quantum_s = 0.5;
+  config.min_client_memory = 1 << 20;
+  config.solver.log_proof = true;
+  core::Campaign campaign(f, "grid0",
+                          core::testbeds::synthetic_grid(12, 4, 2003), config);
+  std::size_t probed = 0;
+  std::uint64_t probed_learned = 0;
+  const auto probe = [&campaign, &probed, &probed_learned] {
+    for (std::size_t i = 0; i < campaign.num_hosts(); ++i) {
+      const core::Client* client = campaign.client(i);
+      if (client == nullptr || !client->alive()) continue;
+      const CdclSolver* solver = client->solver();
+      if (solver == nullptr) continue;
+      ++probed;
+      probed_learned += solver->stats().learned_clauses;
+      EXPECT_TRUE(solver->proof().steps().empty()) << "host " << i;
+    }
+  };
+  for (int t = 1; t <= 60; ++t) campaign.engine().schedule_at(t, probe);
+  const core::GridSatResult result = campaign.run();
+  ASSERT_EQ(result.status, core::CampaignStatus::kUnsat);
+  ASSERT_TRUE(result.proof_stitched) << result.proof_error;
+  const ProofCheckResult check = campaign.certify();
+  EXPECT_TRUE(check.valid) << check.message;
+  probe();
+  EXPECT_GT(probed, 0u);
+  EXPECT_GT(probed_learned, 0u) << "probed solvers never learned a clause";
+}
 
 TEST(DistributedProofTest, NoProofWithoutLogProof) {
   const CnfFormula f = gen::pigeonhole_unsat(6);
