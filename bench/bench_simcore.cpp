@@ -58,9 +58,9 @@ struct Pad {
 // split-timeout idiom — cancel + reschedule on every tick) and report to
 // the master over the bus. Every kShareEvery-th quantum the report is a
 // CLAUSES share; on its delivery the master relays the batch to every
-// other host, exactly like Campaign::on_client_clauses (§3.2 "shares
-// clauses globally as soon as they are generated"), folding the fan-out
-// into one DeliveryBatch. The rng is drawn in firing order, so a seed
+// other host, exactly like the root's Campaign::admit_and_relay (§3.2
+// "shares clauses globally as soon as they are generated"), folding the
+// fan-out into one DeliveryBatch. The rng is drawn in firing order, so a seed
 // fixes the virtual history: message and logical-event counts are a
 // workload fingerprint, and wall time is the only measured quantity.
 constexpr std::uint64_t kShareEvery = 64;

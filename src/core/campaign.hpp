@@ -20,6 +20,11 @@
 //     paper's future-work feature, implemented here);
 //   * optional batch system (Blue Horizon analog) whose nodes join the
 //     pool when the job leaves the queue (Table 2 protocol).
+//
+// Layout: campaign.cpp holds the master's host, verdict, racing,
+// checkpoint and wire bookkeeping; core/coordinator.cpp its coordinators
+// (the root, whose scope is every host, and one sub-master per covered
+// site, DESIGN.md §4j); core/client.{hpp,cpp} the client process.
 #pragma once
 
 #include <array>
@@ -34,6 +39,7 @@
 
 #include "cnf/formula.hpp"
 #include "core/checkpoint.hpp"
+#include "core/client.hpp"
 #include "core/config.hpp"
 #include "core/protocol.hpp"
 #include "core/result.hpp"
@@ -50,128 +56,6 @@
 #include "solver/sharing.hpp"
 
 namespace gridsat::core {
-
-class Campaign;
-
-/// One client flush: the shared clauses plus the LBD each was learned
-/// at. Flat and hierarchical sharing carry the same batch. Only hops to
-/// and from sub-masters (client flushes, inter-site digests) charge the
-/// LBD tags, because the digest filter keys on them
-/// (config.inter_site_lbd_cap); the flat path and every relay to clients
-/// ship clauses only.
-struct ClauseBatch {
-  std::vector<cnf::Clause> clauses;
-  std::vector<std::uint32_t> lbds;
-};
-
-/// One GridSAT client process (internal to Campaign, exposed for tests).
-class Client {
- public:
-  Client(Campaign& campaign, std::size_t host_index, std::string name);
-
-  // Delivered messages (invoked by Campaign at delivery time).
-  void start_subproblem(std::shared_ptr<solver::Subproblem> sp,
-                        double transfer_seconds,
-                        solver::WireMode mode = solver::WireMode::kFull);
-  void receive_clauses(std::shared_ptr<const ClauseBatch> batch);
-  /// kSplit grants one peer; kHybrid grants up to race_width peers that
-  /// will all race the same split child.
-  void grant_split(std::vector<std::size_t> peer_hosts);
-  void order_migration(std::size_t peer_host);
-  /// A co-racer reached the verdict first: abandon the current tenancy
-  /// (guarded by the incarnation nonce, so a reordered stale cancel can
-  /// never kill a later assignment) and report idle.
-  void cancel_subproblem(std::uint64_t incarnation);
-  void checkpoint_acked(std::uint64_t incarnation, std::uint64_t epoch);
-  void checkpoint_nacked(std::uint64_t incarnation);
-  /// The site's sub-master was re-homed under a fresh incarnation: any
-  /// split request the old incarnation may have held is gone, so re-send
-  /// it (DESIGN.md §4j failure handling).
-  void sub_hello();
-  void kill();
-
-  [[nodiscard]] bool busy() const noexcept { return solver_ != nullptr; }
-  [[nodiscard]] bool alive() const noexcept { return alive_; }
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  [[nodiscard]] std::uint64_t work_done() const noexcept;
-  [[nodiscard]] std::uint64_t clauses_imported() const noexcept;
-  [[nodiscard]] std::uint64_t clauses_imported_used() const noexcept;
-  [[nodiscard]] const solver::CdclSolver* solver() const noexcept {
-    return solver_.get();
-  }
-
- private:
-  friend class Campaign;
-
-  void compute_slice();
-  void post_slice();
-  /// A grant (split or migration) that finds the solver already gone
-  /// sends SPLIT_FAILED so the master frees the reserved peers; returns
-  /// true when it did.
-  bool decline_stale_grant();
-  void finish_subproblem(solver::SolveStatus status);
-  /// Close the current tenancy: fold the solver's work and import counts
-  /// into the client's totals, drop the solver and its unsent exports.
-  void end_tenancy();
-  void perform_split();
-  void perform_migration();
-  void flush_exports();
-  void maybe_checkpoint();
-  void check_split_triggers();
-  [[nodiscard]] double effective_split_timeout() const;
-  /// Emit a kPhase event on this client's timeline lane (no-op without a
-  /// tracer).
-  void trace_phase(const char* phase);
-
-  Campaign& campaign_;
-  std::size_t host_index_;
-  std::string name_;
-  std::unique_ptr<solver::CdclSolver> solver_;
-  std::vector<cnf::Clause> export_buffer_;
-  /// LBD of each buffered export, parallel to export_buffer_; shipped to
-  /// the sub-master in hierarchical mode, dropped on the flat path.
-  std::vector<std::uint32_t> export_lbds_;
-  std::uint64_t work_accumulated_ = 0;  ///< from finished subproblems
-  /// Import accounting carried across subproblem tenancies (the live
-  /// solver's counts are added on top; see clauses_imported*()).
-  std::uint64_t imported_accumulated_ = 0;
-  std::uint64_t imported_used_accumulated_ = 0;
-  /// Causal identity of the current tenancy: the split-tree node this
-  /// client is refuting and the trace flow its protocol messages join.
-  std::uint64_t lineage_ = 0;
-  std::uint64_t flow_ = 0;
-  double subproblem_started_ = 0.0;
-  double last_transfer_s_ = 0.0;
-  bool split_requested_ = false;
-  std::vector<std::size_t> pending_split_peers_;
-  std::ptrdiff_t pending_migrate_peer_ = -1;
-  bool slice_scheduled_ = false;
-  bool alive_ = true;
-  double last_checkpoint_ = 0.0;
-  std::size_t checkpointed_level0_ = 0;
-  /// Fingerprint of the base formula this client holds (0 = none): the
-  /// receiving-side truth for base-ref payloads. A relaunched client
-  /// starts at 0, so a stale in-flight base-ref triggers renegotiation.
-  std::uint64_t base_cached_ = 0;
-  // Incremental heavy-checkpoint chain state (DESIGN.md §4e). The
-  // incarnation is a campaign-unique nonce per subproblem tenancy; the
-  // master refuses checkpoints whose incarnation does not match the one
-  // announced in this tenancy's SUBPROBLEM_ACK, so reordered stale
-  // checkpoints can never poison a new chain.
-  std::uint64_t ckpt_incarnation_ = 0;
-  std::uint64_t ckpt_epoch_ = 0;        ///< last shipped epoch (starts at 1)
-  std::uint64_t ckpt_acked_epoch_ = 0;  ///< newest master-acked epoch
-  std::uint64_t ckpt_deltas_since_full_ = 0;
-  bool ckpt_force_full_ = false;  ///< set by CHECKPOINT_NACK
-  /// Shipped-but-unacked delta contents by epoch: a delta must cover
-  /// everything since the acked base on its own, because the master
-  /// truncates its chain back to base_epoch before appending.
-  std::vector<std::pair<std::uint64_t, std::vector<cnf::Clause>>>
-      ckpt_unacked_;
-  /// Clauses learned since the last checkpoint ship (delta payload).
-  std::vector<cnf::Clause> ckpt_fresh_;
-  std::uint32_t trace_worker_ = 0;  ///< lane in the campaign's tracer
-};
 
 struct BatchOptions {
   sim::BatchSystemSpec spec;
@@ -205,7 +89,7 @@ class Campaign {
 
   /// Sub-masters actually deployed (0 in the flat topology).
   [[nodiscard]] std::size_t num_sub_masters() const noexcept {
-    return sub_masters_.size();
+    return coordinators_.size() - 1;
   }
 
   // --- elastic-grid scenario hooks (DESIGN.md §4g) ---------------------
@@ -231,10 +115,7 @@ class Campaign {
   /// whose client does not actually hold the base exercises the
   /// renegotiate-on-mismatch fallback.
   void debug_mark_base_resident(std::size_t host_index) {
-    note_base_resident(host_index);
-  }
-  [[nodiscard]] std::uint64_t base_fingerprint() const noexcept {
-    return base_fingerprint_;
+    records_[host_index].base_resident = true;
   }
 
   /// Attach a (manual-clock) tracer before run(): the engine drives its
@@ -295,7 +176,79 @@ class Campaign {
     std::uint32_t site = 0;
   };
 
+  /// What the master knows about one host, beside its directory entry.
+  /// Every field resets on its own protocol event; none is ever iterated
+  /// across hosts.
+  struct HostRecord {
+    /// Peers reserved for this host's outstanding SPLIT_GRANT /
+    /// MIGRATE_ORDER (empty: none). Cleared by SPLIT_DONE / MIGRATED /
+    /// SPLIT_FAILED or the requester's demise. kSplit reserves one peer;
+    /// kHybrid up to race_width.
+    std::vector<std::size_t> grant;
+    /// Hybrid cohort this host races in (0: not racing; DESIGN.md §4i).
+    std::uint64_t cohort = 0;
+    /// Owed a race cancel as soon as its ack arrives (the cancel needs the
+    /// tenancy's incarnation nonce, which only the ack announces).
+    bool cancel_on_ack = false;
+    /// The host's client holds the base formula's problem-clause block
+    /// (cleared when the client dies or misses a base-ref payload).
+    bool base_resident = false;
+    /// The current tenancy as the master knows it: the nonce announced by
+    /// the latest SUBPROBLEM_ACK (0: none; checkpoints carrying any other
+    /// incarnation are refused) and the checkpoint chain filed under it
+    /// (entry 0 a full snapshot, later entries deltas; restore_chain
+    /// replays them). A verdict, migration, cancel or death resets it.
+    struct Tenancy {
+      std::uint64_t incarnation = 0;
+      std::vector<Checkpoint> chain;
+    } tenancy;
+  };
+
+  /// One master tier (DESIGN.md §4j). The root is the coordinator whose
+  /// scope is every host; each sub-master is a coordinator scoped to one
+  /// site ("submaster:<site>"), which aggregates its clients' reports,
+  /// relays clauses in-site, buffers an LBD-capped inter-site digest
+  /// behind a FingerprintFilter, and holds the site-local split backlog.
+  /// A sub-master consumes no host; its honesty lives in the
+  /// message/byte/latency accounting of everything it sends.
+  struct Coordinator {
+    Endpoint endpoint;
+    /// Interned site id of the hosts served; grid::kAnySite for the root.
+    std::uint32_t scope = grid::kAnySite;
+    std::uint64_t incarnation = 1;
+    bool alive = true;  ///< the root never dies
+    std::set<std::size_t> backlog;  ///< served hosts with pending requests
+    /// Sub-masters only: clause dedup (relay + digest) and the LBD-capped
+    /// clauses awaiting the next digest flush.
+    std::optional<solver::FingerprintFilter> filter;
+    ClauseBatch digest;
+    bool work_requested = false;  ///< one WORK_REQUEST outstanding
+    std::uint64_t ticks = 0;      ///< cadence counter (summary decimation)
+    /// Site state as of the last summary sent; a quiescent site stays
+    /// silent (the tick only ships a SITE_SUMMARY when something moved).
+    std::size_t last_idle = ~std::size_t{0};
+    std::size_t last_busy = ~std::size_t{0};
+    std::size_t last_backlog = ~std::size_t{0};
+
+    [[nodiscard]] bool is_root() const noexcept {
+      return scope == grid::kAnySite;
+    }
+    [[nodiscard]] bool serves(std::uint32_t site) const noexcept {
+      return is_root() || site == scope;
+    }
+  };
+  /// Index of the root in coordinators_.
+  static constexpr std::size_t kRoot = 0;
+  /// Charged size of a control message (headers, acks, requests).
+  static constexpr std::size_t kControlMessageBytes = 96;
+  /// The master's failure-detection lag: a death (of a client or of a
+  /// sub-master) is noticed this many virtual seconds after it happens.
+  static constexpr double kMasterMonitorDelay = 1.0;
+
   // --- master logic ----------------------------------------------------
+  /// Append a host to the pool (directory entry, host model, client
+  /// slot, interned names, master record); returns its index.
+  std::size_t add_host(sim::HostSpec spec);
   void launch_client(std::size_t host_index);
   void on_register(std::size_t host_index);
   void on_split_failed(std::size_t requester);
@@ -328,14 +281,9 @@ class Campaign {
   /// the same split child — the caller may then skip recovery entirely.
   bool forget_racer(std::size_t host_index);
   void on_sat_found(std::size_t host_index, cnf::Assignment model);
-  void on_client_clauses(std::size_t from,
-                         std::shared_ptr<const ClauseBatch> batch);
   void on_checkpoint(std::size_t host_index, Checkpoint cp);
   void send_checkpoint_nack(std::size_t host_index, std::uint64_t incarnation,
                             std::uint64_t flow);
-  /// Forget a host's checkpoint chain and tenancy nonce (PR-4 erase rules
-  /// applied chain-wide: unsat/sat verdict, migration, new assignment).
-  void drop_checkpoints(std::size_t host_index);
   /// A base-ref payload arrived at a host without the base (stale cache
   /// after a relaunch): ship the base block, then restart the payload as
   /// a full ship. The subproblem stays in flight throughout.
@@ -343,22 +291,6 @@ class Campaign {
                     std::shared_ptr<solver::Subproblem> sp);
   void on_client_died(std::size_t host_index, bool was_busy);
   void on_mem_out(std::size_t host_index);
-  /// The one dispatcher, for flat and hierarchical masters alike (flat
-  /// is the root tier with no sub-masters): re-home bounced requests,
-  /// restores to the best idle host anywhere, root-homed backlog grants,
-  /// site-local dispatch and brokering, then relaunch a free host if work
-  /// waits and nobody is idle.
-  void try_dispatch();
-  /// Longest-running busy host in `backlog` with no outstanding grant
-  /// (§3.4), or -1.
-  [[nodiscard]] std::ptrdiff_t oldest_requester(
-      const std::set<std::size_t>& backlog) const;
-  /// Grant `requester` a split toward `targets` (or, with `migrate`, a
-  /// migration to targets[0]): drop its parked request, reserve the
-  /// targets, record the outstanding grant, and send SPLIT_GRANT or
-  /// MIGRATE_ORDER from the root, or from sub-master `via_sub` when >= 0.
-  void grant(std::size_t requester, std::vector<std::size_t> targets,
-             std::ptrdiff_t via_sub, bool migrate);
   /// Release the reservation held for `requester`'s outstanding grant (if
   /// any): the requester finished, died, or declined before splitting.
   void release_grant(std::size_t requester);
@@ -373,8 +305,8 @@ class Campaign {
   /// Decide how a subproblem ships to `to_host` and charge the wire
   /// accounting: stamp the campaign fingerprint, trim the learned block
   /// to split_learned_budget_bytes, and pick a base reference (no
-  /// problem-clause bytes) when the host's resident base matches. The
-  /// payload is encoded once, to size it in the chosen mode.
+  /// problem-clause bytes) when the host holds the base. The payload is
+  /// encoded once, to size it in the chosen mode.
   struct ShipPlan {
     solver::WireMode mode;
     std::size_t bytes;
@@ -390,7 +322,6 @@ class Campaign {
   double ship(Endpoint from, std::size_t to_host,
               std::shared_ptr<solver::Subproblem> sp,
               Msg kind = Msg::kSubproblem);
-  void note_base_resident(std::size_t host_index);
   std::uint64_t next_incarnation() noexcept { return ++last_incarnation_; }
   /// Stable split-tree node ids. Allocation is tied to protocol decisions
   /// (not to tracing), so ids are deterministic under a fixed seed and
@@ -409,8 +340,6 @@ class Campaign {
   /// Tag a lane with its host's grid site (kSiteTag metadata).
   void tag_site(std::size_t host_index);
   void sample_availability();
-  [[nodiscard]] std::size_t idle_at_site(std::uint32_t site) const;
-  void update_peak_active();
 
   /// Kill the client on `host_index` and report the death to the master
   /// after its monitoring delay. With `host_gone` the machine itself
@@ -420,71 +349,66 @@ class Campaign {
   void release_host(std::size_t host_index);
   void begin_site_outage(const std::string& site, double down_for);
 
-  // --- hierarchical masters (DESIGN.md §4j) ----------------------------
-  /// Per-site coordinator: a logical endpoint ("submaster:<site>") that
-  /// aggregates its clients' reports, relays clauses in-site, buffers an
-  /// LBD-capped inter-site digest behind a FingerprintFilter, and holds
-  /// the site-local split backlog. Consumes no host; its honesty lives in
-  /// the message/byte/latency accounting of everything it sends.
-  struct SubMaster {
-    std::string site;
-    Endpoint endpoint;  ///< interned "submaster:<site>" at its site
-    std::uint64_t incarnation = 1;
-    bool alive = true;
-    solver::FingerprintFilter filter;  ///< clause dedup (relay + digest)
-    ClauseBatch digest;  ///< LBD-capped clauses awaiting the next flush
-    std::set<std::size_t> backlog;  ///< local hosts with pending requests
-    bool work_requested = false;    ///< one WORK_REQUEST outstanding
-    std::uint64_t ticks = 0;        ///< cadence counter (summary decimation)
-    /// Site state as of the last summary sent; a quiescent site stays
-    /// silent (the tick only ships a SITE_SUMMARY when something moved).
-    std::size_t last_idle = ~std::size_t{0};
-    std::size_t last_busy = ~std::size_t{0};
-    std::size_t last_backlog = ~std::size_t{0};
-  };
-
+  // --- coordinators (core/coordinator.cpp) -----------------------------
   /// Hierarchical routing is on: sub-masters configured and the campaign
   /// runs the paper's split protocol (racing modes keep the flat master,
   /// like migration).
-  [[nodiscard]] bool hier_enabled() const noexcept;
-  /// Sub-master index covering `host`'s site, or -1 (flat routing).
-  [[nodiscard]] std::ptrdiff_t route_sub(std::size_t host_index) const;
-  void setup_sub_masters();
-  /// Cadenced per-sub-master event: flush the digest and send the site
-  /// summary, every config.site_relay_interval virtual seconds.
-  void sub_master_tick(std::size_t sub);
-  void flush_digest(std::size_t sub);
-  // Sub-master-side message handlers (delivery time).
-  void sub_on_clauses(std::size_t sub, std::size_t from,
-                      std::shared_ptr<const ClauseBatch> batch);
-  void sub_on_remote_digest(std::size_t sub,
-                            std::shared_ptr<const ClauseBatch> batch);
-  void sub_on_broker(std::size_t sub, std::size_t peer_host);
-  /// In-site clause fan-out (exclude_host = the originating client, or
-  /// -1 to include everyone).
-  void sub_relay(std::size_t sub, std::shared_ptr<const ClauseBatch> batch,
-                 std::ptrdiff_t exclude_host);
-  /// Grant splits locally while the site has both backlog and idle
-  /// hosts; request brokered work from the root when starving.
-  void sub_try_dispatch(std::size_t sub);
-  void root_broker();
-  // Root-side handlers for sub-master traffic.
-  void root_on_work_request(std::size_t sub);
-  void root_on_broker_failed(std::size_t peer_host);
-  void root_on_site_summary();
-  void root_on_digest(std::size_t sub,
-                      std::shared_ptr<const ClauseBatch> batch);
-  void rehome_sub_master(std::size_t sub);
-  /// Park a split request where this topology keeps it: the site
-  /// backlog when a live sub-master covers the host, the root backlog
-  /// otherwise (try_dispatch re-homes stragglers once the sub returns).
+  [[nodiscard]] bool hier_enabled() const noexcept {
+    return coordinators_.size() > 1;
+  }
+  /// The coordinator serving `host`'s site: its sub-master (alive or
+  /// not), or kRoot for an uncovered site.
+  [[nodiscard]] std::size_t home_of(std::size_t host_index) const;
+  /// The root, then a sub-master for each of the first
+  /// config.sub_masters sites in host order (split mode only).
+  void setup_coordinators();
+  /// The one dispatcher, for flat and hierarchical masters alike (flat
+  /// is the root alone): re-home bounced requests, restores to the best
+  /// idle host anywhere, each coordinator's grants, brokering, then
+  /// relaunch a free host if work waits and nobody is idle.
+  void try_dispatch();
+  /// One coordinator's grant loop: the best idle host in its scope goes
+  /// to the oldest requester in its backlog. Root policies: migration and
+  /// hybrid widening; sub-master policy: the starvation WORK_REQUEST.
+  void dispatch(std::size_t index);
+  /// Longest-running busy host in `backlog` with no outstanding grant
+  /// (§3.4), or -1.
+  [[nodiscard]] std::ptrdiff_t oldest_requester(
+      const std::set<std::size_t>& backlog) const;
+  /// Grant `requester` a split toward `targets` (or, with `migrate`, a
+  /// migration to targets[0]) from coordinator endpoint `via`: drop its
+  /// parked request, reserve the targets, record the outstanding grant,
+  /// and send SPLIT_GRANT or MIGRATE_ORDER.
+  void grant(std::size_t requester, std::vector<std::size_t> targets,
+             Endpoint via, bool migrate);
+  /// Park a split request at the requester's home coordinator, or at the
+  /// root while that sub-master is dead (try_dispatch re-homes stragglers
+  /// once it returns).
   void enqueue_split_request(std::size_t host_index);
-  /// Erase a host's pending split request everywhere it could be parked
-  /// (root backlog and every site backlog).
+  /// Erase a host's pending split request from every backlog.
   void forget_backlog(std::size_t host_index);
-  /// Best idle host at a sub-master's site (rank order, memory floor);
-  /// -1 if none.
-  [[nodiscard]] std::ptrdiff_t best_idle_at_site(std::size_t sub) const;
+  /// Admit a clause batch at coordinator `index` and relay it to the busy
+  /// clients it serves: a client's flush (`from` = its host, excluded
+  /// from the relay and counted as shared) or, at a sub-master, another
+  /// site's digest (`from` = -1). A sub-master drops clauses its filter
+  /// has seen and digests the fresh, LBD-capped ones of its own clients.
+  void admit_and_relay(std::size_t index,
+                       std::shared_ptr<const ClauseBatch> batch,
+                       std::ptrdiff_t from);
+  /// Cadenced per-sub-master event: dispatch, flush the digest and send
+  /// the site summary, every config.site_relay_interval virtual seconds.
+  void sub_master_tick(std::size_t index);
+  void flush_digest(std::size_t index);
+  void sub_on_broker(std::size_t index, std::size_t peer_host);
+  /// Root policy: match each starving site (it sent a WORK_REQUEST) with
+  /// an idle peer there and the live site holding the deepest grantable
+  /// backlog; the donor's sub-master picks the requester (SPLIT_BROKER).
+  /// Runs on every dispatch, work request and site summary.
+  void root_broker();
+  void root_on_broker_failed(std::size_t peer_host);
+  void root_on_digest(std::size_t index,
+                      std::shared_ptr<const ClauseBatch> batch);
+  void rehome_sub_master(std::size_t index);
   /// Route a shared-semantics client report up the tree: the site
   /// sub-master when one covers the host, the root otherwise. With
   /// `forward_to_root`, a live sub-master immediately forwards the
@@ -493,18 +417,15 @@ class Campaign {
   void send_up(std::size_t from_host, Msg kind, std::size_t bytes,
                sim::Callback handler, std::uint64_t flow = 0,
                bool forward_to_root = false);
-  /// Send to sub-master `sub`. A live sub-master counts the message in
+  /// Send to sub-master `index`. A live sub-master counts the message in
   /// sub_messages_handled and runs `at_sub`. A dead one counts a bounce,
   /// then forwards the message to the root to run `at_root` there (extra
   /// hop charged) or, without `at_root`, runs the alive-aware `at_sub`.
-  void deliver_at_sub(Endpoint from, std::size_t sub, Msg kind,
+  void deliver_at_sub(Endpoint from, std::size_t index, Msg kind,
                       std::size_t bytes, sim::Callback at_sub,
                       sim::Callback at_root = {}, std::uint64_t flow = 0);
 
   // --- plumbing ----------------------------------------------------------
-  /// Intern a new host's endpoint/site names (must be called once, in
-  /// order, for every host appended to hosts_).
-  void register_host_names(std::size_t host_index);
   [[nodiscard]] std::uint32_t kind_id(Msg kind) const noexcept {
     return msg_ids_[static_cast<std::size_t>(kind) - 1];
   }
@@ -537,22 +458,20 @@ class Campaign {
   sim::Network network_;
   sim::MessageBus bus_;
   grid::ResourceDirectory directory_;
+  // Per-host state, all parallel to hosts_ (add_host appends to each).
   std::vector<std::unique_ptr<sim::Host>> hosts_;
   std::vector<std::unique_ptr<Client>> clients_;
-  /// Pre-interned per-host endpoints, parallel to hosts_.
-  std::vector<Endpoint> endpoints_;
+  std::vector<Endpoint> endpoints_;  ///< pre-interned addresses
+  std::vector<HostRecord> records_;
   Endpoint root_;  ///< "master" at the master's site
   std::array<std::uint32_t, kMsgKinds> msg_ids_{};  ///< by Msg value - 1
 
   // Master state.
   bool problem_assigned_ = false;
   std::size_t subproblems_in_flight_ = 0;
-  std::set<std::size_t> backlog_;  ///< hosts with pending split requests
-  /// requester -> reserved peers, while a SPLIT_GRANT / MIGRATE_ORDER is
-  /// outstanding (cleared by SPLIT_DONE / MIGRATED / SPLIT_FAILED or the
-  /// requester's demise). kSplit reserves one peer; kHybrid up to
-  /// race_width.
-  std::map<std::size_t, std::vector<std::size_t>> outstanding_grants_;
+  /// [kRoot] the root, then one sub-master per covered site in host order.
+  std::vector<Coordinator> coordinators_;
+  std::set<std::size_t> starving_sites_;  ///< subs awaiting brokered work
   // --- portfolio / hybrid racing state (DESIGN.md §4i) -----------------
   /// Split-tree node of the root assignment; portfolio re-ships it to
   /// every later registrant so all racers share one lineage.
@@ -561,32 +480,15 @@ class Campaign {
   /// first root assignment, reference heuristics).
   std::uint64_t portfolio_next_slot_ = 0;
   std::uint64_t next_cohort_ = 0;
-  /// host -> cohort id, for hosts currently racing a hybrid subproblem.
-  std::map<std::size_t, std::uint64_t> racing_;
   /// cohort id -> member hosts still racing.
   std::map<std::uint64_t, std::vector<std::size_t>> cohorts_;
-  /// Racers owed a cancel as soon as their ack arrives (the cancel needs
-  /// the tenancy's incarnation nonce, which only the ack announces).
-  std::set<std::size_t> cancel_on_ack_;
   std::deque<std::shared_ptr<solver::Subproblem>> pending_restores_;
-  /// Per-host checkpoint chains: entry 0 is a full snapshot, later
-  /// entries are deltas (restore_chain replays base + deltas). PR-4's
-  /// erase rules apply to the whole chain.
-  std::map<std::size_t, std::vector<Checkpoint>> checkpoint_chains_;
-  /// Tenancy nonce announced by each host's latest SUBPROBLEM_ACK;
-  /// checkpoints carrying any other incarnation are refused.
-  std::map<std::size_t, std::uint64_t> expected_incarnation_;
   std::uint64_t last_incarnation_ = 0;
   std::uint64_t next_lineage_ = 0;  ///< split-tree node id allocator
-  /// Base-formula residency: hosts that hold the problem-clause block
-  /// under the campaign fingerprint (cleared when the client dies).
-  std::map<std::size_t, std::uint64_t> base_resident_;
+  /// Base-formula caching (DESIGN.md §4e): every ship is stamped with
+  /// this fingerprint; residency is HostRecord::base_resident.
   std::uint64_t base_fingerprint_ = 0;
   std::size_t base_block_bytes_ = 0;  ///< renegotiation base-ship cost
-  // Hierarchical-master state (DESIGN.md §4j).
-  std::vector<SubMaster> sub_masters_;
-  std::map<std::uint32_t, std::size_t> sub_by_site_;  ///< site id -> index
-  std::set<std::size_t> starving_sites_;  ///< subs awaiting brokered work
   bool done_ = false;
   GridSatResult result_;
 

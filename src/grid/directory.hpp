@@ -24,8 +24,14 @@ enum class HostState : std::uint8_t {
 
 const char* to_string(HostState s) noexcept;
 
+/// Site filter of the directory queries that matches every host.
+inline constexpr std::uint32_t kAnySite = ~std::uint32_t{0};
+
 struct ResourceEntry {
   sim::HostSpec spec;
+  /// The host's site under the owner's interned site ids (what the
+  /// queries' site filter compares; 0 when the owner never assigns one).
+  std::uint32_t site = 0;
   HostState state = HostState::kFree;
   Forecaster forecaster;
   /// Virtual time the current subproblem has been running (maintained by
@@ -58,15 +64,18 @@ class ResourceDirectory {
            1e-9 * static_cast<double>(e.spec.memory_bytes);
   }
 
-  /// Highest-ranked host in the given state; -1 if none. Hosts with less
-  /// memory than `min_memory` are skipped (the paper's 128-MByte floor).
-  [[nodiscard]] std::ptrdiff_t best_in_state(HostState state,
-                                             std::size_t min_memory) const {
+  /// Highest-ranked host in the given state at `site` (kAnySite: any);
+  /// -1 if none. Hosts with less memory than `min_memory` are skipped
+  /// (the paper's 128-MByte floor). Among equal ranks the lowest index
+  /// wins.
+  [[nodiscard]] std::ptrdiff_t best_in_state(
+      HostState state, std::size_t min_memory,
+      std::uint32_t site = kAnySite) const {
     std::ptrdiff_t best = -1;
     double best_rank = -1.0;
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       const ResourceEntry& e = at(i);
-      if (e.state != state) continue;
+      if (e.state != state || !at_site(e, site)) continue;
       if (e.spec.memory_bytes < min_memory) continue;
       const double r = rank(i);
       if (r > best_rank) {
@@ -77,15 +86,21 @@ class ResourceDirectory {
     return best;
   }
 
-  [[nodiscard]] std::size_t count_in_state(HostState state) const {
+  /// Hosts in the given state at `site` (kAnySite: anywhere).
+  [[nodiscard]] std::size_t count_in_state(
+      HostState state, std::uint32_t site = kAnySite) const {
     std::size_t n = 0;
     for (const auto& e : entries_) {
-      if (e->state == state) ++n;
+      if (e->state == state && at_site(*e, site)) ++n;
     }
     return n;
   }
 
  private:
+  static bool at_site(const ResourceEntry& e, std::uint32_t site) noexcept {
+    return site == kAnySite || e.site == site;
+  }
+
   // unique_ptr for pointer stability: the master holds references while
   // the Blue Horizon job appends hosts mid-run.
   std::vector<std::unique_ptr<ResourceEntry>> entries_;

@@ -153,9 +153,10 @@ TEST(SchedulerTest, NoUsableHostsTimesOut) {
 
 // --- Golden fixed point ------------------------------------------------
 // The tests above compare a run with the scheduling rule it should obey;
-// these pin the exact virtual-time outcome of four small campaigns, so a
-// refactor of the master that changes any dispatch decision, message or
-// byte fails here even when the verdict survives. Re-capture the values
+// these pin the exact virtual-time outcome of five small campaigns, so a
+// refactor of the master that changes any dispatch decision, message,
+// byte, shared clause or tier counter fails here even when the verdict
+// survives. Re-capture the values
 // only for a change that is meant to move the simulation.
 
 struct Golden {
@@ -168,6 +169,19 @@ struct Golden {
   std::uint64_t brokered_splits;
   std::uint64_t races_cancelled;
   std::uint64_t checkpoint_recoveries;
+  std::uint64_t clause_batches_shared;
+  std::uint64_t clauses_shared;
+  std::uint64_t site_relay_batches;
+  std::uint64_t inter_site_digests;
+  std::uint64_t digest_clauses_sent;
+  std::uint64_t digest_clauses_deduped;
+  std::uint64_t root_messages_handled;
+  std::uint64_t sub_messages_handled;
+  std::uint64_t sub_master_bounces;
+  std::uint64_t sub_master_rehomes;
+  std::uint64_t base_ref_transfers;
+  std::uint64_t checkpoints_full;
+  std::uint64_t checkpoints_delta;
 };
 
 void expect_golden(const GridSatResult& r, const Golden& g) {
@@ -180,6 +194,19 @@ void expect_golden(const GridSatResult& r, const Golden& g) {
   EXPECT_EQ(r.brokered_splits, g.brokered_splits);
   EXPECT_EQ(r.races_cancelled, g.races_cancelled);
   EXPECT_EQ(r.checkpoint_recoveries, g.checkpoint_recoveries);
+  EXPECT_EQ(r.clause_batches_shared, g.clause_batches_shared);
+  EXPECT_EQ(r.clauses_shared, g.clauses_shared);
+  EXPECT_EQ(r.site_relay_batches, g.site_relay_batches);
+  EXPECT_EQ(r.inter_site_digests, g.inter_site_digests);
+  EXPECT_EQ(r.digest_clauses_sent, g.digest_clauses_sent);
+  EXPECT_EQ(r.digest_clauses_deduped, g.digest_clauses_deduped);
+  EXPECT_EQ(r.root_messages_handled, g.root_messages_handled);
+  EXPECT_EQ(r.sub_messages_handled, g.sub_messages_handled);
+  EXPECT_EQ(r.sub_master_bounces, g.sub_master_bounces);
+  EXPECT_EQ(r.sub_master_rehomes, g.sub_master_rehomes);
+  EXPECT_EQ(r.base_ref_transfers, g.base_ref_transfers);
+  EXPECT_EQ(r.checkpoints_full, g.checkpoints_full);
+  EXPECT_EQ(r.checkpoints_delta, g.checkpoints_delta);
 }
 
 /// `n` hosts alternating between two sites, speeds rising with the index.
@@ -228,7 +255,20 @@ TEST(SchedulerGoldenTest, FlatCampaignThatMigrates) {
                  .bytes_transferred = 289815,
                  .brokered_splits = 0,
                  .races_cancelled = 0,
-                 .checkpoint_recoveries = 0});
+                 .checkpoint_recoveries = 0,
+                 .clause_batches_shared = 70,
+                 .clauses_shared = 86,
+                 .site_relay_batches = 0,
+                 .inter_site_digests = 0,
+                 .digest_clauses_sent = 0,
+                 .digest_clauses_deduped = 0,
+                 .root_messages_handled = 245,
+                 .sub_messages_handled = 0,
+                 .sub_master_bounces = 0,
+                 .sub_master_rehomes = 0,
+                 .base_ref_transfers = 33,
+                 .checkpoints_full = 0,
+                 .checkpoints_delta = 0});
 }
 
 TEST(SchedulerGoldenTest, HierarchicalCampaignWithSubMasterKill) {
@@ -248,7 +288,20 @@ TEST(SchedulerGoldenTest, HierarchicalCampaignWithSubMasterKill) {
                  .bytes_transferred = 3143712,
                  .brokered_splits = 116,
                  .races_cancelled = 0,
-                 .checkpoint_recoveries = 0});
+                 .checkpoint_recoveries = 0,
+                 .clause_batches_shared = 47,
+                 .clauses_shared = 48,
+                 .site_relay_batches = 142,
+                 .inter_site_digests = 34,
+                 .digest_clauses_sent = 35,
+                 .digest_clauses_deduped = 7,
+                 .root_messages_handled = 730,
+                 .sub_messages_handled = 1572,
+                 .sub_master_bounces = 5,
+                 .sub_master_rehomes = 1,
+                 .base_ref_transfers = 292,
+                 .checkpoints_full = 0,
+                 .checkpoints_delta = 0});
 }
 
 TEST(SchedulerGoldenTest, HybridRacingCampaign) {
@@ -266,7 +319,20 @@ TEST(SchedulerGoldenTest, HybridRacingCampaign) {
                  .bytes_transferred = 560405,
                  .brokered_splits = 0,
                  .races_cancelled = 7,
-                 .checkpoint_recoveries = 0});
+                 .checkpoint_recoveries = 0,
+                 .clause_batches_shared = 104,
+                 .clauses_shared = 107,
+                 .site_relay_batches = 0,
+                 .inter_site_digests = 0,
+                 .digest_clauses_sent = 0,
+                 .digest_clauses_deduped = 0,
+                 .root_messages_handled = 403,
+                 .sub_messages_handled = 0,
+                 .sub_master_bounces = 0,
+                 .sub_master_rehomes = 0,
+                 .base_ref_transfers = 66,
+                 .checkpoints_full = 0,
+                 .checkpoints_delta = 0});
 }
 
 TEST(SchedulerGoldenTest, FlatCampaignRecoversBusyClientFromCheckpoint) {
@@ -288,7 +354,54 @@ TEST(SchedulerGoldenTest, FlatCampaignRecoversBusyClientFromCheckpoint) {
                  .bytes_transferred = 806469,
                  .brokered_splits = 0,
                  .races_cancelled = 0,
-                 .checkpoint_recoveries = 1});
+                 .checkpoint_recoveries = 1,
+                 .clause_batches_shared = 49,
+                 .clauses_shared = 50,
+                 .site_relay_batches = 0,
+                 .inter_site_digests = 0,
+                 .digest_clauses_sent = 0,
+                 .digest_clauses_deduped = 0,
+                 .root_messages_handled = 813,
+                 .sub_messages_handled = 0,
+                 .sub_master_bounces = 0,
+                 .sub_master_rehomes = 0,
+                 .base_ref_transfers = 37,
+                 .checkpoints_full = 84,
+                 .checkpoints_delta = 491});
+}
+
+TEST(SchedulerGoldenTest, MixedTopologyCampaign) {
+  // Two of the four sites get a sub-master; the other two route flat to
+  // the root inside the same hierarchical run, so the root grants and
+  // relays for its uncovered sites while the sub-masters do so for theirs.
+  GridSatConfig config = golden_config();
+  config.sub_masters = 2;
+  Campaign campaign(gen::pigeonhole_unsat(8), "grid0",
+                    testbeds::synthetic_grid(12, 4, 2003), config);
+  EXPECT_EQ(campaign.num_sub_masters(), 2u);
+  expect_golden(campaign.run(),
+                {.status = CampaignStatus::kUnsat,
+                 .seconds = 2128.3718730238033,
+                 .total_splits = 110,
+                 .migrations = 0,
+                 .messages = 1316,
+                 .bytes_transferred = 3289334,
+                 .brokered_splits = 15,
+                 .races_cancelled = 0,
+                 .checkpoint_recoveries = 0,
+                 .clause_batches_shared = 28,
+                 .clauses_shared = 29,
+                 .site_relay_batches = 55,
+                 .inter_site_digests = 27,
+                 .digest_clauses_sent = 28,
+                 .digest_clauses_deduped = 0,
+                 .root_messages_handled = 350,
+                 .sub_messages_handled = 599,
+                 .sub_master_bounces = 0,
+                 .sub_master_rehomes = 0,
+                 .base_ref_transfers = 105,
+                 .checkpoints_full = 0,
+                 .checkpoints_delta = 0});
 }
 
 }  // namespace

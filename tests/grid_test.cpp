@@ -101,6 +101,37 @@ TEST(DirectoryTest, BestInStateFiltersByState) {
   EXPECT_EQ(dir.best_in_state(HostState::kIdle, 0), -1);
 }
 
+TEST(DirectoryTest, SiteFilterAndLowestIndexWinsTies) {
+  ResourceDirectory dir;
+  sim::HostSpec spec;
+  spec.speed = 1000;
+  // Four equally ranked idle hosts, alternating between site ids 7 and 9.
+  for (std::size_t i = 0; i < 4; ++i) {
+    const std::size_t index = dir.add(spec);
+    dir.at(index).site = i % 2 == 0 ? 7 : 9;
+    dir.at(index).state = HostState::kIdle;
+  }
+  // Equal ranks: the strict `>` keeps the lowest index, with or without
+  // a site filter.
+  EXPECT_EQ(dir.best_in_state(HostState::kIdle, 0), 0);
+  EXPECT_EQ(dir.best_in_state(HostState::kIdle, 0, 7), 0);
+  EXPECT_EQ(dir.best_in_state(HostState::kIdle, 0, 9), 1);
+  EXPECT_EQ(dir.best_in_state(HostState::kIdle, 0, 5), -1);
+  EXPECT_EQ(dir.count_in_state(HostState::kIdle), 4u);
+  EXPECT_EQ(dir.count_in_state(HostState::kIdle, 9), 2u);
+  EXPECT_EQ(dir.count_in_state(HostState::kIdle, 5), 0u);
+  // A strictly better host wins its own site and the whole pool, but
+  // never a site it does not belong to.
+  dir.at(3).spec.speed = 2000;
+  EXPECT_EQ(dir.best_in_state(HostState::kIdle, 0, 9), 3);
+  EXPECT_EQ(dir.best_in_state(HostState::kIdle, 0), 3);
+  EXPECT_EQ(dir.best_in_state(HostState::kIdle, 0, 7), 0);
+  dir.at(3).state = HostState::kBusy;
+  EXPECT_EQ(dir.best_in_state(HostState::kIdle, 0, 9), 1);
+  EXPECT_EQ(dir.count_in_state(HostState::kBusy, 9), 1u);
+  EXPECT_EQ(dir.count_in_state(HostState::kBusy, 7), 0u);
+}
+
 TEST(DirectoryTest, CountsStates) {
   ResourceDirectory dir;
   sim::HostSpec spec;
