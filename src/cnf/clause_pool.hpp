@@ -9,8 +9,8 @@
 // HordeSat ships clause sets the same way, as flat integer buffers.
 //
 // Clauses are appended at the end only: copied in whole (push_back), or
-// written in place (open_clause, then close_clause). Offsets are 32-bit:
-// a pool holds fewer than 2^32 literals.
+// written in place (open_clause, then close_clause); truncate() drops a
+// tail. Offsets are 32-bit: a pool holds fewer than 2^32 literals.
 #pragma once
 
 #include <cassert>
@@ -89,6 +89,13 @@ class ClausePool {
     for (std::size_t i = first; i < last; ++i) {
       ends_.push_back(static_cast<std::uint32_t>(src.ends_[i] + shift));
     }
+  }
+
+  /// Drop every clause from index `count` on.
+  void truncate(std::size_t count) {
+    assert(count <= size());
+    lits_.resize(lit_offset(count));
+    ends_.resize(count);
   }
 
   /// Literal slots in clauses [0, i): where clause i begins.

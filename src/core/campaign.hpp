@@ -215,7 +215,6 @@ class Campaign {
     Endpoint endpoint;
     /// Interned site id of the hosts served; grid::kAnySite for the root.
     std::uint32_t scope = grid::kAnySite;
-    std::uint64_t incarnation = 1;
     bool alive = true;  ///< the root never dies
     std::set<std::size_t> backlog;  ///< served hosts with pending requests
     /// Sub-masters only: clause dedup (relay + digest) and the LBD-capped

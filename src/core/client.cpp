@@ -426,7 +426,10 @@ void Client::perform_split() {
   const std::vector<std::size_t> peers = std::move(pending_split_peers_);
   pending_split_peers_.clear();
   split_requested_ = false;
-  auto child = std::make_shared<solver::Subproblem>(solver_->split());
+  // The learned block leaves in ship order, so plan_subproblem_ship's
+  // trim is a truncation (§4e).
+  auto child = std::make_shared<solver::Subproblem>(
+      solver_->split(campaign_.config().split_learned_budget_bytes));
   subproblem_started_ = campaign_.engine().now();  // fresh (folded) problem
   obs::trace_event(campaign_.tracer_, trace_worker_, obs::EventKind::kSplit,
                    campaign_.result_.total_splits + 1, peers.front());
@@ -488,7 +491,8 @@ void Client::perform_migration() {
   const auto peer = static_cast<std::size_t>(pending_migrate_peer_);
   pending_migrate_peer_ = -1;
   split_requested_ = false;
-  auto sp = std::make_shared<solver::Subproblem>(solver_->to_subproblem());
+  auto sp = std::make_shared<solver::Subproblem>(solver_->to_subproblem(
+      campaign_.config().split_learned_budget_bytes));
   // The whole problem moves: the tree node and its flow move with it.
   sp->lineage_id = lineage_;
   sp->flow_id = flow_;

@@ -332,10 +332,9 @@ void Campaign::rehome_sub_master(std::size_t index) {
   Coordinator& sub = coordinators_[index];
   if (sub.alive) return;
   ++result_.sub_master_rehomes;
-  ++sub.incarnation;
   sub.alive = true;
-  // Fresh suppression epoch: the new incarnation must not silently drop
-  // clauses only the dead one had seen.
+  // Fresh suppression epoch: the re-homed sub-master must not silently
+  // drop clauses only the dead one had seen.
   sub.filter->clear();
   sub.last_idle = sub.last_busy = sub.last_backlog = ~std::size_t{0};
   // Announce the fresh incarnation to the site: any client whose split

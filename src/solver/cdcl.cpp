@@ -48,21 +48,17 @@ constexpr double kGeometricRestartGrowth = 1.5;
 constexpr std::ptrdiff_t kClausePrefetchDistance = 4;
 
 /// Write an arena clause's literals with strictly ascending codes (the
-/// canonical order the wire encoder and add_clause_at_level0() take
+/// canonical order the wire encoder and the receiver's rebuild take
 /// without sorting) to `out`, which has room for lits.size(); returns how
-/// many were written. When the code span needs at most one 64-bit word
-/// per literal a bitmap over the span sorts in one linear pass; a wider
-/// span falls back to std::sort. Both paths drop a repeated literal
-/// (arena clauses hold none), so they write the same clause for any
-/// input. `bits` is caller-owned scratch, left all-zero.
-std::size_t write_canonical(std::span<const Lit> lits,
-                            std::vector<std::uint64_t>& bits, Lit* out) {
-  std::uint32_t lo = lits[0].code();
-  std::uint32_t hi = lo;
-  for (const Lit l : lits) {
-    lo = std::min(lo, l.code());
-    hi = std::max(hi, l.code());
-  }
+/// many were written. `lo` and `hi` are the least and greatest codes in
+/// `lits`. When the code span needs at most one 64-bit word per literal a
+/// bitmap over the span sorts in one linear pass; a wider span falls back
+/// to std::sort. Both paths drop a repeated literal (arena clauses hold
+/// none), so they write the same clause for any input. `bits` is
+/// caller-owned scratch, left all-zero.
+std::size_t write_canonical(std::span<const Lit> lits, std::uint32_t lo,
+                            std::uint32_t hi, std::vector<std::uint64_t>& bits,
+                            Lit* out) {
   const std::size_t words = ((hi - lo) >> 6) + 1;
   if (words > lits.size()) {
     Lit* const end = std::copy(lits.begin(), lits.end(), out);
@@ -188,61 +184,79 @@ bool CdclSolver::enqueue_level0(Lit p, bool tainted) {
 bool CdclSolver::add_clause_at_level0(std::span<const Lit> clause,
                                       bool learned, ClauseRef* new_ref,
                                       bool attach_now) {
-  assert(decision_level() == 0);
-  if (new_ref != nullptr) *new_ref = kNoClause;
-  // Preprocess: sort/dedupe, detect tautology, apply level-0 facts. A
-  // strictly ascending clause (what to_subproblem() ships) is already
-  // sorted and duplicate-free, so it skips the copy and the sort.
-  std::span<const Lit> lits = clause;
-  if (std::adjacent_find(clause.begin(), clause.end(), [](Lit a, Lit b) {
-        return !(a < b);
-      }) != clause.end()) {
+  ClauseRef cref = kNoClause;
+  std::optional<bool> ok = add_ascending_at_level0(clause, learned, cref);
+  if (!ok) {
+    // Sort and dedupe a copy, which the one loop then takes. A literal
+    // outside the variable universe means generator or wire corruption:
+    // a hard error in debug builds, dropped in release.
     add_lits_.assign(clause.begin(), clause.end());
     std::sort(add_lits_.begin(), add_lits_.end());
     add_lits_.erase(std::unique(add_lits_.begin(), add_lits_.end()),
                     add_lits_.end());
-    lits = add_lits_;
+    std::erase_if(add_lits_, [this](Lit l) {
+      const bool outside = l.var() == cnf::kNoVar || l.var() > num_vars_;
+      assert(!outside && "literal beyond variable universe");
+      return outside;
+    });
+    ok = add_ascending_at_level0(add_lits_, learned, cref);
+    assert(ok.has_value());
   }
-  for (std::size_t i = 0; i + 1 < lits.size(); ++i) {
-    if (lits[i].var() == lits[i + 1].var()) return true;  // tautology
-  }
-  // Unassigned literals first so the watched pair is sane, then the
-  // tainted-false ones, each group in ascending order.
-  std::vector<Lit>& kept = add_kept_;
+  if (new_ref != nullptr) *new_ref = cref;
+  if (attach_now && cref != kNoClause) attach(cref);
+  return *ok;
+}
+
+std::optional<bool> CdclSolver::add_ascending_at_level0(
+    std::span<const Lit> clause, bool learned, ClauseRef& new_ref) {
+  assert(decision_level() == 0);
+  new_ref = kNoClause;
+  // One pass: order and tautology check, level-0 classification, and the
+  // write of the open literals straight into the arena, so the watched
+  // pair is sane. Tainted-false literals go behind them: dropping them
+  // would make clauses derived from this one depend on split assumptions
+  // invisibly.
+  const ClauseRef cref = arena_.open_clause(clause.size());
+  Lit* const out = arena_.open_lits(cref);
   std::vector<Lit>& tainted_false = add_tainted_false_;
-  kept.clear();
   tainted_false.clear();
-  for (const Lit l : lits) {
-    if (l.var() > num_vars_) {
-      // Grow the universe? Clauses beyond num_vars indicate generator or
-      // wire corruption; treat as hard error in debug, tolerate by growth
-      // in release paths is not worth the complexity.
-      assert(false && "literal beyond variable universe");
-      continue;
+  std::size_t num_open = 0;
+  const std::uint32_t max_code = 2 * num_vars_ + 1;
+  std::uint32_t prev = 1;  // below every literal code
+  for (const Lit l : clause) {
+    if (l.code() <= prev || l.code() > max_code) {
+      arena_.discard_clause(cref);
+      return std::nullopt;  // not strictly ascending, or beyond the universe
     }
+    const bool tautology = (l.code() >> 1) == (prev >> 1);
+    prev = l.code();
     const LBool v = value(l);
-    if (v == LBool::kTrue) return true;  // satisfied at level 0: prune (paper §3.1)
+    if (tautology || v == LBool::kTrue) {
+      arena_.discard_clause(cref);
+      return true;  // tautology, or satisfied at level 0: prune (paper §3.1)
+    }
     if (v == LBool::kUndef) {
-      kept.push_back(l);
+      out[num_open++] = l;
     } else if (tainted(l.var())) {
-      // Keep tainted-false literals: dropping them would make clauses
-      // derived from this one depend on split assumptions invisibly.
       tainted_false.push_back(l);
     }
   }
-  const std::size_t num_open = kept.size();
-  if (num_open == 0) return false;  // all literals false => conflict
-  kept.insert(kept.end(), tainted_false.begin(), tainted_false.end());
-  if (num_open == 1 && kept.size() == 1) {
-    return enqueue_level0(kept[0], /*tainted=*/false);
+  if (num_open == 0) {
+    arena_.discard_clause(cref);
+    return false;  // all literals false => conflict
   }
-  const ClauseRef cref = arena_.alloc(kept, learned);
-  if (new_ref != nullptr) *new_ref = cref;
-  if (attach_now) attach(cref);
+  if (num_open == 1 && tainted_false.empty()) {
+    const Lit unit = out[0];
+    arena_.discard_clause(cref);
+    return enqueue_level0(unit, /*tainted=*/false);
+  }
+  std::copy(tainted_false.begin(), tainted_false.end(), out + num_open);
+  arena_.close_clause(cref, num_open + tainted_false.size(), learned);
+  new_ref = cref;
   if (num_open == 1) {
     // Effectively unit: imply the open literal; taint flows from the kept
     // tainted-false literals through the reason clause.
-    if (!enqueue(kept[0], cref)) return false;
+    if (!enqueue(arena_.lit(cref, 0), cref)) return false;
     ++stats_.propagations;
   }
   stats_.peak_db_bytes = std::max(stats_.peak_db_bytes, arena_.live_bytes());
@@ -1171,7 +1185,10 @@ bool CdclSolver::simplify_at_level0() {
     detach(r);
     arena_.free(r);
   }
-  garbage_collect();
+  // The compaction keeps allocation order and nothing orders clauses by
+  // ref, so the garbage can wait for a later one (reduce_db() compacts
+  // anyway) until it outweighs the live clauses.
+  if (arena_.garbage_bytes() > arena_.live_bytes()) garbage_collect();
   return true;
 }
 
@@ -1316,13 +1333,13 @@ bool CdclSolver::can_split() const noexcept {
          !trail_lim_.empty();
 }
 
-Subproblem CdclSolver::split() {
+Subproblem CdclSolver::split(std::size_t learned_budget_bytes) {
   assert(can_split());
   ++stats_.splits;
   const Lit d1 = trail_[trail_lim_[0]];
 
   // The complementary branch: level-0 prefix plus ~d1 as an assumption.
-  Subproblem other = to_subproblem();
+  Subproblem other = to_subproblem(learned_budget_bytes);
   other.units.push_back(SubproblemUnit{~d1, /*tainted=*/true});
   other.assumptions.push_back(~d1);
   other.path += (other.path.empty() ? "" : ".") + cnf::to_string(~d1);
@@ -1358,7 +1375,7 @@ Subproblem CdclSolver::split() {
   return other;
 }
 
-Subproblem CdclSolver::to_subproblem() const {
+Subproblem CdclSolver::to_subproblem(std::size_t learned_budget_bytes) const {
   Subproblem sp;
   sp.num_vars = num_vars_;
   sp.assumptions = assumptions_;
@@ -1371,33 +1388,65 @@ Subproblem CdclSolver::to_subproblem() const {
       sp.path += (sp.path.empty() ? "" : ".") + cnf::to_string(trail_[i]);
     }
   }
-  // Problem clauses first, then learned; skip clauses satisfied at level 0
-  // (they would be pruned on arrival anyway — don't pay to ship them).
-  auto satisfied_at_level0 = [&](ClauseRef r) {
-    for (const Lit l : arena_.lits(r)) {
-      if (value(l) == LBool::kTrue && vars_[l.var()].level == 0) return true;
-    }
-    return false;
-  };
   // Upper bounds (satisfied clauses are skipped), so the pool never
   // regrows mid-copy.
   const std::size_t num_clauses = arena_.num_problem() + arena_.num_learned();
   sp.clauses.reserve(num_clauses,
                      arena_.live_bytes() / sizeof(std::uint32_t) -
                          ClauseArena::kHeaderWords * num_clauses);
+  // Problem clauses first, then learned; a clause satisfied at level 0
+  // would be pruned on arrival anyway, so it is not shipped. The scan
+  // that finds the code span for the canonical write also looks for a
+  // satisfying level-0 literal, in a table of the true level-0 literals
+  // so the scan branches only on the (rare) hit, not on each literal's
+  // value.
+  std::vector<std::uint8_t> true_at_level0(vals_.size(), 0);
+  for (std::size_t i = 0; i < level0_end; ++i) {
+    true_at_level0[trail_[i].code()] = 1;
+  }
   std::vector<std::uint64_t> bits;
   const auto ship = [&](ClauseRef r) {
     const std::span<const Lit> lits = arena_.lits(r);
+    std::uint32_t lo = lits[0].code();
+    std::uint32_t hi = lo;
+    for (const Lit l : lits) {
+      if (true_at_level0[l.code()] != 0) return;
+      lo = std::min(lo, l.code());
+      hi = std::max(hi, l.code());
+    }
     const std::span<Lit> slots = sp.clauses.open_clause(lits.size());
-    sp.clauses.close_clause(write_canonical(lits, bits, slots.data()));
+    sp.clauses.close_clause(write_canonical(lits, lo, hi, bits, slots.data()));
   };
   arena_.for_each([&](ClauseRef r) {
-    if (!arena_.learned(r) && !satisfied_at_level0(r)) ship(r);
+    if (!arena_.learned(r)) ship(r);
   });
   sp.num_problem_clauses = sp.clauses.size();
+  if (learned_budget_bytes == 0) {
+    arena_.for_each([&](ClauseRef r) {
+      if (arena_.learned(r)) ship(r);
+    });
+    return sp;
+  }
+  // Under a budget the learned block goes out shortest first, stable over
+  // arena order: the order Subproblem::trim_learned() keeps, so trimming
+  // truncates the block in place instead of copying it. Arena clauses
+  // hold no repeated literal, so the arena length is the shipped length.
+  std::vector<ClauseRef> learned;
+  learned.reserve(arena_.num_learned());
   arena_.for_each([&](ClauseRef r) {
-    if (arena_.learned(r) && !satisfied_at_level0(r)) ship(r);
+    if (arena_.learned(r)) learned.push_back(r);
   });
+  struct Lengths {
+    const ClauseArena& arena;
+    const std::vector<ClauseRef>& refs;
+    [[nodiscard]] std::size_t size() const noexcept { return refs.size(); }
+    [[nodiscard]] std::span<const Lit> operator[](std::size_t k) const {
+      return arena.lits(refs[k]);
+    }
+  };
+  for (const std::uint32_t k : cnf::order_by_length(Lengths{arena_, learned})) {
+    ship(learned[k]);
+  }
   return sp;
 }
 
@@ -1423,8 +1472,10 @@ std::vector<cnf::Clause> CdclSolver::learned_clauses(std::size_t max_len) const 
   arena_.for_each([&](ClauseRef r) {
     if (!arena_.learned(r)) return;
     if (max_len != 0 && arena_.size(r) > max_len) return;
-    cnf::Clause& c = out.emplace_back(arena_.size(r));
-    c.resize(write_canonical(arena_.lits(r), bits, c.data()));
+    const std::span<const Lit> lits = arena_.lits(r);
+    const auto [lo, hi] = std::minmax_element(lits.begin(), lits.end());
+    cnf::Clause& c = out.emplace_back(lits.size());
+    c.resize(write_canonical(lits, lo->code(), hi->code(), bits, c.data()));
   });
   return out;
 }

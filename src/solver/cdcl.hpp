@@ -277,15 +277,22 @@ class CdclSolver {
   /// searching; the returned subproblem carries the complementary branch
   /// (level-0 units + negated first decision) together with the current
   /// clause set, pruned of clauses satisfied at level 0 of the *new*
-  /// branch. Requires can_split().
-  Subproblem split();
+  /// branch. Requires can_split(). `learned_budget_bytes` is passed to
+  /// to_subproblem().
+  Subproblem split(std::size_t learned_budget_bytes = 0);
 
   /// Current state as a subproblem (migration §3.4 / heavy checkpoint):
-  /// level-0 units + full clause set. Levels above 0 are discarded (the
-  /// paper's checkpoints do the same). Every clause comes out with
-  /// strictly ascending literal codes, the order the wire encoder and the
-  /// receiver's rebuild take without sorting.
-  [[nodiscard]] Subproblem to_subproblem() const;
+  /// level-0 units + full clause set, without the clauses satisfied at
+  /// level 0. Levels above 0 are discarded (the paper's checkpoints do
+  /// the same). Every clause comes out with strictly ascending literal
+  /// codes, the order the wire encoder and the receiver's rebuild take
+  /// without sorting. Each block keeps arena order, except that a nonzero
+  /// `learned_budget_bytes` (the budget the ship will be trimmed to)
+  /// emits the learned block shortest first, stable over arena order:
+  /// the order Subproblem::trim_learned() keeps, so the trim truncates in
+  /// place. Nothing is dropped here; the trim does that.
+  [[nodiscard]] Subproblem to_subproblem(
+      std::size_t learned_budget_bytes = 0) const;
 
   // --- Clause sharing (paper §3.2) --------------------------------------
 
@@ -462,8 +469,8 @@ class CdclSolver {
   /// tautology skip, satisfied skip, untainted-false-literal drop).
   /// Returns false when the clause (with propagation pending) refutes
   /// the subproblem. Input with strictly ascending literal codes (what
-  /// to_subproblem() and learned_clauses() emit) skips the copy and the
-  /// sort; the stored clause is the same either way.
+  /// to_subproblem() and learned_clauses() emit) takes one loop with no
+  /// copy and no sort; the stored clause is the same either way.
   /// `new_ref` (optional) receives the allocated clause ref, or kNoClause
   /// when the clause was pruned, became a unit, or conflicted. With
   /// `attach_now` false the stored clause is left for the caller to
@@ -471,6 +478,15 @@ class CdclSolver {
   bool add_clause_at_level0(std::span<const cnf::Lit> clause, bool learned,
                             ClauseRef* new_ref = nullptr,
                             bool attach_now = true);
+  /// add_clause_at_level0()'s one loop, for a clause with strictly
+  /// ascending literal codes: the order and tautology check, the level-0
+  /// classification and the write of the kept literals straight into the
+  /// arena. Hands the new ref (or kNoClause) back through `new_ref`,
+  /// unattached. Returns nullopt, having changed nothing, at a literal
+  /// out of order or outside the variable universe.
+  std::optional<bool> add_ascending_at_level0(std::span<const cnf::Lit> clause,
+                                              bool learned,
+                                              ClauseRef& new_ref);
   /// Attach `crefs` in order, each watch list sized once up front: the
   /// lists end up as attach() one by one would leave them, minus the
   /// regrowth.
@@ -613,11 +629,9 @@ class CdclSolver {
   };
   std::vector<OtfJob> otf_jobs_;
 
-  // add_clause_at_level0() scratch: the sorted copy of unsorted input, the
-  // literals that survive level-0 facts, and the tainted-false ones among
-  // them.
+  // add_clause_at_level0() scratch: the sorted copy of unsorted input,
+  // and the tainted-false literals of the clause being stored.
   std::vector<cnf::Lit> add_lits_;
-  std::vector<cnf::Lit> add_kept_;
   std::vector<cnf::Lit> add_tainted_false_;
 
   // Restart / reduce schedule.

@@ -35,6 +35,7 @@
 // memory monitor.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
@@ -66,18 +67,40 @@ class ClauseArena {
   /// learner calls set_lbd() with the measured value.
   ClauseRef alloc(std::span<const cnf::Lit> lits, bool learned) {
     assert(!lits.empty());
+    const ClauseRef ref = open_clause(lits.size());
+    std::copy(lits.begin(), lits.end(), open_lits(ref));
+    close_clause(ref, lits.size(), learned);
+    return ref;
+  }
+
+  /// alloc() in two steps, for a caller that writes the literals in
+  /// place: open a clause of up to `max_len` literals at the end, write
+  /// them through open_lits(), then seal the clause with its first `len`
+  /// (>= 1) literals, or drop it. Nothing else may allocate while a
+  /// clause is open.
+  ClauseRef open_clause(std::size_t max_len) {
+    const auto ref = static_cast<ClauseRef>(data_.size());
+    data_.resize(data_.size() + kHeaderWords + max_len);
+    return ref;
+  }
+  [[nodiscard]] cnf::Lit* open_lits(ClauseRef r) {
     static_assert(sizeof(cnf::Lit) == sizeof(std::uint32_t));
-    const ClauseRef ref = static_cast<ClauseRef>(data_.size());
-    const std::uint32_t header[kHeaderWords] = {
-        (static_cast<std::uint32_t>(lits.size()) << 4) | (learned ? 1u : 0u),
-        float_bits(0.0f), static_cast<std::uint32_t>(lits.size())};
-    data_.insert(data_.end(), header, header + kHeaderWords);
-    const auto* codes = reinterpret_cast<const std::uint32_t*>(lits.data());
-    data_.insert(data_.end(), codes, codes + lits.size());
-    live_words_ += kHeaderWords + lits.size();
+    return reinterpret_cast<cnf::Lit*>(&data_[r + kHeaderWords]);
+  }
+  void close_clause(ClauseRef r, std::size_t len, bool learned) {
+    assert(len > 0 && r + kHeaderWords + len <= data_.size());
+    data_.resize(r + kHeaderWords + len);
+    const auto size = static_cast<std::uint32_t>(len);
+    data_[r] = (size << 4) | (learned ? 1u : 0u);
+    data_[r + 1] = float_bits(0.0f);
+    data_[r + 2] = size;
+    live_words_ += kHeaderWords + len;
     if (learned) ++num_learned_;
     else ++num_problem_;
-    return ref;
+  }
+  void discard_clause(ClauseRef r) {
+    assert(r <= data_.size());
+    data_.resize(r);
   }
 
   [[nodiscard]] std::uint32_t size(ClauseRef r) const {

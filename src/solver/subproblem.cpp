@@ -89,10 +89,19 @@ std::size_t Subproblem::trim_learned(std::size_t budget_bytes) {
   const auto first = static_cast<std::size_t>(num_problem_clauses);
   const std::size_t count = clauses.size();
   if (first >= count) return 0;
-  // Shortest first, stable: order the learned clauses' indices by length
-  // and move literals only once, when the kept block is written back.
-  const std::vector<std::uint32_t> order =
-      cnf::order_by_length(clauses.slice(first, count));
+  // Shortest first, stable. A block already in that order (what
+  // CdclSolver::to_subproblem() emits under a budget) is only truncated;
+  // any other is ordered by index and copied once, when the kept block is
+  // written back.
+  bool sorted = true;
+  for (std::size_t i = first + 1; i < count && sorted; ++i) {
+    sorted = clauses[i].size() >= clauses[i - 1].size();
+  }
+  std::vector<std::uint32_t> order;
+  if (!sorted) order = cnf::order_by_length(clauses.slice(first, count));
+  const auto at = [&](std::size_t k) {
+    return clauses[first + (sorted ? k : order[k])];
+  };
   // Literal cost is over-estimated (raw literal-code varints; the gap
   // encoding on the wire is never larger), and the 1 byte per clause
   // covers each run's count varint. Only the stream count and each run's
@@ -101,11 +110,12 @@ std::size_t Subproblem::trim_learned(std::size_t budget_bytes) {
   const auto varint_size = [](std::uint32_t v) {
     return static_cast<std::size_t>(std::bit_width(v | 1u) + 6) / 7;
   };
+  const std::size_t learned = count - first;
   std::size_t spent = 0;
   std::size_t keep = 0;
   std::size_t kept_lits = 0;
-  while (keep < order.size()) {
-    const std::span<const cnf::Lit> clause = clauses[first + order[keep]];
+  while (keep < learned) {
+    const std::span<const cnf::Lit> clause = at(keep);
     std::size_t cost = 1;  // covers its share of the run count varint
     for (const cnf::Lit l : clause) cost += varint_size(l.code());
     if (spent + cost > budget_bytes) break;
@@ -113,16 +123,18 @@ std::size_t Subproblem::trim_learned(std::size_t budget_bytes) {
     kept_lits += clause.size();
     ++keep;
   }
+  if (sorted) {
+    clauses.truncate(first + keep);
+    return learned - keep;
+  }
   // Rebuild right-sized: the problem block in one copy, then the kept
   // learned clauses shortest first.
   cnf::ClausePool trimmed;
   trimmed.reserve(first + keep, clauses.lit_offset(first) + kept_lits);
   trimmed.append(clauses, 0, first);
-  for (std::size_t k = 0; k < keep; ++k) {
-    trimmed.push_back(clauses[first + order[k]]);
-  }
+  for (std::size_t k = 0; k < keep; ++k) trimmed.push_back(at(k));
   clauses = std::move(trimmed);
-  return order.size() - keep;
+  return learned - keep;
 }
 
 }  // namespace gridsat::solver

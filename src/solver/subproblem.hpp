@@ -163,7 +163,10 @@ struct Subproblem {
   /// literals. Learned clauses are consequences of the original formula,
   /// so dropping any subset is always sound — the receiver re-derives
   /// what it needs and the sharing layer keeps streaming high-value
-  /// clauses anyway. Returns the number of clauses dropped.
+  /// clauses anyway. Returns the number of clauses dropped. The kept
+  /// block comes out shortest first, stable; a block already in that
+  /// order (CdclSolver::to_subproblem() with the same budget) is
+  /// truncated in place, any other is copied once.
   std::size_t trim_learned(std::size_t budget_bytes);
 
   friend bool operator==(const Subproblem&, const Subproblem&) = default;

@@ -153,7 +153,7 @@ TEST(SchedulerTest, NoUsableHostsTimesOut) {
 
 // --- Golden fixed point ------------------------------------------------
 // The tests above compare a run with the scheduling rule it should obey;
-// these pin the exact virtual-time outcome of five small campaigns, so a
+// these pin the exact virtual-time outcome of six small campaigns, so a
 // refactor of the master that changes any dispatch decision, message,
 // byte, shared clause or tier counter fails here even when the verdict
 // survives. Re-capture the values
@@ -180,6 +180,7 @@ struct Golden {
   std::uint64_t sub_master_bounces;
   std::uint64_t sub_master_rehomes;
   std::uint64_t base_ref_transfers;
+  std::uint64_t ship_learned_trimmed;
   std::uint64_t checkpoints_full;
   std::uint64_t checkpoints_delta;
 };
@@ -205,6 +206,7 @@ void expect_golden(const GridSatResult& r, const Golden& g) {
   EXPECT_EQ(r.sub_master_bounces, g.sub_master_bounces);
   EXPECT_EQ(r.sub_master_rehomes, g.sub_master_rehomes);
   EXPECT_EQ(r.base_ref_transfers, g.base_ref_transfers);
+  EXPECT_EQ(r.ship_learned_trimmed, g.ship_learned_trimmed);
   EXPECT_EQ(r.checkpoints_full, g.checkpoints_full);
   EXPECT_EQ(r.checkpoints_delta, g.checkpoints_delta);
 }
@@ -267,6 +269,7 @@ TEST(SchedulerGoldenTest, FlatCampaignThatMigrates) {
                  .sub_master_bounces = 0,
                  .sub_master_rehomes = 0,
                  .base_ref_transfers = 33,
+                 .ship_learned_trimmed = 0,
                  .checkpoints_full = 0,
                  .checkpoints_delta = 0});
 }
@@ -300,6 +303,7 @@ TEST(SchedulerGoldenTest, HierarchicalCampaignWithSubMasterKill) {
                  .sub_master_bounces = 5,
                  .sub_master_rehomes = 1,
                  .base_ref_transfers = 292,
+                 .ship_learned_trimmed = 0,
                  .checkpoints_full = 0,
                  .checkpoints_delta = 0});
 }
@@ -331,6 +335,42 @@ TEST(SchedulerGoldenTest, HybridRacingCampaign) {
                  .sub_master_bounces = 0,
                  .sub_master_rehomes = 0,
                  .base_ref_transfers = 66,
+                 .ship_learned_trimmed = 0,
+                 .checkpoints_full = 0,
+                 .checkpoints_delta = 0});
+}
+
+TEST(SchedulerGoldenTest, HybridRacingCampaignUnderTightLearnedBudget) {
+  // A 512-byte learned-clause budget trims real ships, and every racer's
+  // payload copy is trimmed and counted on its own.
+  GridSatConfig config = golden_config();
+  config.parallel_mode = solver::ParallelMode::kHybrid;
+  config.race_width = 2;
+  config.split_learned_budget_bytes = 512;
+  Campaign campaign(gen::pigeonhole_unsat(7), "east", two_site_hosts(6),
+                    config);
+  expect_golden(campaign.run(),
+                {.status = CampaignStatus::kUnsat,
+                 .seconds = 138.23963180789048,
+                 .total_splits = 44,
+                 .migrations = 0,
+                 .messages = 955,
+                 .bytes_transferred = 90242,
+                 .brokered_splits = 0,
+                 .races_cancelled = 4,
+                 .checkpoint_recoveries = 0,
+                 .clause_batches_shared = 107,
+                 .clauses_shared = 122,
+                 .site_relay_batches = 0,
+                 .inter_site_digests = 0,
+                 .digest_clauses_sent = 0,
+                 .digest_clauses_deduped = 0,
+                 .root_messages_handled = 331,
+                 .sub_messages_handled = 0,
+                 .sub_master_bounces = 0,
+                 .sub_master_rehomes = 0,
+                 .base_ref_transfers = 44,
+                 .ship_learned_trimmed = 9002,
                  .checkpoints_full = 0,
                  .checkpoints_delta = 0});
 }
@@ -366,6 +406,7 @@ TEST(SchedulerGoldenTest, FlatCampaignRecoversBusyClientFromCheckpoint) {
                  .sub_master_bounces = 0,
                  .sub_master_rehomes = 0,
                  .base_ref_transfers = 37,
+                 .ship_learned_trimmed = 0,
                  .checkpoints_full = 84,
                  .checkpoints_delta = 491});
 }
@@ -400,6 +441,7 @@ TEST(SchedulerGoldenTest, MixedTopologyCampaign) {
                  .sub_master_bounces = 0,
                  .sub_master_rehomes = 0,
                  .base_ref_transfers = 105,
+                 .ship_learned_trimmed = 1350,
                  .checkpoints_full = 0,
                  .checkpoints_delta = 0});
 }

@@ -8,11 +8,14 @@
 //   * importing shared clauses never changes a verdict;
 //   * subproblem serialization round-trips;
 //   * shipped clauses come out canonical (strictly ascending codes), and
-//     the receiver rebuilds the same solver from any literal order.
+//     the receiver rebuilds the same solver from any literal order;
+//   * a ship emitted in budget order trims to the same payload as one in
+//     arena order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -433,6 +436,190 @@ TEST(CanonicalShipTest, PoolMatchesCanonicalizedArenaClauses) {
       ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
           << "clause " << i;
     }
+  }
+}
+
+/// Donor states for the ship differential tests: solvers searched for a
+/// while and split one to three times, so level 0 holds tainted units
+/// and the arena holds learned and OTF-strengthened clauses. Every call
+/// builds the same states (the search is deterministic).
+std::vector<std::unique_ptr<CdclSolver>> ship_donors() {
+  std::vector<std::unique_ptr<CdclSolver>> donors;
+  util::Xoshiro256 rng(4242);
+  for (int i = 0; i < 12; ++i) {
+    const CnfFormula f =
+        i % 3 == 0 ? gen::pigeonhole_unsat(7 + i % 2)
+                   : gen::random_ksat(90 + 10 * (i % 4), 400 + 40 * (i % 4), 3,
+                                      100 + i);
+    auto donor = std::make_unique<CdclSolver>(f);
+    (void)donor->solve(2000 + rng.below(20'000));
+    const std::uint64_t splits = 1 + rng.below(3);
+    for (std::uint64_t k = 0; k < splits; ++k) {
+      if (!advance_and_split(*donor, 200 + rng.below(2000)).has_value()) break;
+    }
+    if (donor->status() == SolveStatus::kUnknown) {
+      donors.push_back(std::move(donor));
+    }
+  }
+  return donors;
+}
+
+/// Learned-clause budgets: none, tiny (trims nearly everything) and the
+/// campaign default.
+constexpr std::size_t kShipBudgets[] = {0, 48, 600, 64 * 1024};
+
+TEST(BudgetedShipTest, ShipOrderTrimsLikeArenaOrder) {
+  const std::vector<std::unique_ptr<CdclSolver>> donors = ship_donors();
+  ASSERT_GE(donors.size(), 6u);
+  std::uint64_t otf_strengthened = 0;
+  std::size_t reordered = 0;
+  std::size_t trimmed = 0;
+  for (const auto& donor : donors) {
+    otf_strengthened += donor->stats().otf_strengthened;
+    for (const std::size_t budget : kShipBudgets) {
+      Subproblem in_ship_order = donor->to_subproblem(budget);
+      Subproblem in_arena_order = donor->to_subproblem();
+      EXPECT_TRUE(all_strictly_ascending(in_ship_order.clauses));
+      if (in_ship_order.clauses != in_arena_order.clauses) ++reordered;
+      const std::size_t dropped = in_arena_order.trim_learned(budget);
+      EXPECT_EQ(in_ship_order.trim_learned(budget), dropped);
+      EXPECT_EQ(in_ship_order, in_arena_order) << "budget " << budget;
+      trimmed += dropped;
+    }
+  }
+  EXPECT_GT(otf_strengthened, 0u);
+  EXPECT_GT(reordered, 0u) << "no donor's learned block needed reordering";
+  EXPECT_GT(trimmed, 0u) << "no budget trimmed anything";
+}
+
+TEST(BudgetedShipTest, BudgetedSplitMatchesPlainSplit) {
+  // Two copies of every donor split the same decision, one in ship order
+  // and one in arena order: the trimmed payloads and the donors' kept
+  // branches agree.
+  for (const std::size_t budget : kShipBudgets) {
+    const std::vector<std::unique_ptr<CdclSolver>> a = ship_donors();
+    const std::vector<std::unique_ptr<CdclSolver>> b = ship_donors();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (!a[i]->can_split()) continue;
+      Subproblem ordered = a[i]->split(budget);
+      Subproblem plain = b[i]->split();
+      EXPECT_EQ(ordered.trim_learned(budget), plain.trim_learned(budget));
+      EXPECT_EQ(ordered, plain) << "donor " << i << " budget " << budget;
+      EXPECT_EQ(a[i]->to_subproblem(), b[i]->to_subproblem());
+      EXPECT_EQ(a[i]->solve(5000), b[i]->solve(5000));
+      EXPECT_EQ(a[i]->stats().work, b[i]->stats().work);
+    }
+  }
+}
+
+/// Every live clause of a solver, in arena order, with its learned flag.
+std::vector<std::pair<cnf::Clause, bool>> clause_db(const CdclSolver& s) {
+  std::vector<std::pair<cnf::Clause, bool>> out;
+  s.for_each_clause([&](std::span<const Lit> lits, bool learned) {
+    out.emplace_back(cnf::Clause(lits.begin(), lits.end()), learned);
+  });
+  return out;
+}
+
+/// `sp` with every clause of two or more literals out of ascending order
+/// (shuffled, or reversed when the shuffle left it ascending).
+Subproblem unsorted_copy(const Subproblem& sp, util::Xoshiro256& rng) {
+  Subproblem out = sp;
+  out.clauses = cnf::ClausePool();
+  for (const std::span<const Lit> lits : sp.clauses) {
+    cnf::Clause c(lits.begin(), lits.end());
+    util::shuffle(c, rng);
+    if (c.size() > 1 && strictly_ascending(c)) std::reverse(c.begin(), c.end());
+    out.clauses.push_back(c);
+  }
+  return out;
+}
+
+/// True when some stored clause holds a literal and its negation.
+bool stores_a_tautology(const CdclSolver& s) {
+  bool found = false;
+  s.for_each_clause([&](std::span<const Lit> lits, bool) {
+    for (const Lit l : lits) {
+      found = found || std::find(lits.begin(), lits.end(), ~l) != lits.end();
+    }
+  });
+  return found;
+}
+
+/// Expect the same rebuilt solver: clause database (with no tautology
+/// stored), level-0 units, sound invariants, and the same search from
+/// there.
+void expect_same_rebuild(const Subproblem& canonical,
+                         const Subproblem& unsorted) {
+  CdclSolver one_loop(canonical);
+  CdclSolver sorting(unsorted);
+  EXPECT_EQ(clause_db(one_loop), clause_db(sorting));
+  EXPECT_FALSE(stores_a_tautology(one_loop));
+  EXPECT_EQ(one_loop.level0_units(), sorting.level0_units());
+  EXPECT_EQ(one_loop.check_invariants(), "");
+  EXPECT_EQ(sorting.check_invariants(), "");
+  EXPECT_EQ(one_loop.solve(20'000), sorting.solve(20'000));
+  EXPECT_EQ(one_loop.stats().work, sorting.stats().work);
+  EXPECT_EQ(one_loop.stats().conflicts, sorting.stats().conflicts);
+  EXPECT_EQ(one_loop.stats().propagations, sorting.stats().propagations);
+}
+
+TEST(CanonicalShipTest, OneLoopRebuildMatchesSortingPath) {
+  // The receiver stores a strictly ascending clause in one loop and
+  // passes any other to the sorting path. Ships from random donor states,
+  // with edge clauses appended to the learned block, rebuild the same
+  // solver both ways: a tautology (ascending, so the one loop sees it), a
+  // clause with a repeated literal, and a clause the units make unit.
+  util::Xoshiro256 rng(2026);
+  std::size_t rebuilt = 0;
+  for (const auto& donor : ship_donors()) {
+    for (const std::size_t budget : kShipBudgets) {
+      Subproblem sp = donor->to_subproblem(budget);
+      ASSERT_FALSE(sp.units.empty());
+      const Lit unit = sp.units.back().lit;  // a tainted split assumption
+      cnf::Var free_var = sp.num_vars;  // the last variable with no unit
+      while (std::any_of(sp.units.begin(), sp.units.end(),
+                         [&](const SubproblemUnit& u) {
+                           return u.lit.var() == free_var;
+                         })) {
+        --free_var;
+      }
+      sp.clauses.push_back(
+          cnf::Clause{Lit(free_var, false), Lit(free_var, true)});
+      sp.clauses.push_back(cnf::Clause{Lit(free_var, true),
+                                       Lit(free_var, true)});
+      cnf::Clause made_unit{~unit, Lit(free_var, false)};
+      std::sort(made_unit.begin(), made_unit.end());
+      sp.clauses.push_back(made_unit);
+      expect_same_rebuild(sp, unsorted_copy(sp, rng));
+      ++rebuilt;
+    }
+  }
+  EXPECT_GE(rebuilt, 24u);
+}
+
+TEST(CanonicalShipTest, OneLoopRebuildFindsTheSameConflict) {
+  // A clause the units falsify refutes the ship on either path, after
+  // the same clauses were stored.
+  util::Xoshiro256 rng(7);
+  for (const auto& donor : ship_donors()) {
+    Subproblem sp = donor->to_subproblem();
+    ASSERT_FALSE(sp.units.empty());
+    cnf::Clause falsified{~sp.units.front().lit};
+    if (sp.units.size() > 1) falsified.push_back(~sp.units.back().lit);
+    std::sort(falsified.begin(), falsified.end());
+    // Midway through the learned block, so clauses follow it.
+    cnf::ClausePool clauses;
+    const std::size_t mid =
+        sp.num_problem_clauses + (sp.clauses.size() - sp.num_problem_clauses) / 2;
+    clauses.append(sp.clauses, 0, mid);
+    clauses.push_back(falsified);
+    clauses.append(sp.clauses, mid, sp.clauses.size());
+    sp.clauses = std::move(clauses);
+    expect_same_rebuild(sp, unsorted_copy(sp, rng));
+    CdclSolver refuted(sp);
+    EXPECT_EQ(refuted.solve(), SolveStatus::kUnsat);
   }
 }
 

@@ -533,6 +533,36 @@ TEST(SubproblemTrimTest, MatchesStableSortByLengthReference) {
   }
 }
 
+TEST(SubproblemTrimTest, LengthSortedBlockTruncatesLikeTheCopyPath) {
+  // A learned block already shortest first (what a budgeted
+  // CdclSolver::to_subproblem() emits) is truncated in place; the same
+  // clauses in arena order take the copy path. Both keep the same
+  // clauses and report the same drop count.
+  util::Xoshiro256 rng(7070);
+  for (int i = 0; i < 100; ++i) {
+    const solver::Subproblem sp = random_subproblem(rng);
+    const std::size_t first = sp.num_problem_clauses;
+    std::vector<cnf::Clause> learned =
+        clauses_of(sp.clauses, first, sp.clauses.size());
+    std::stable_sort(learned.begin(), learned.end(),
+                     [](const cnf::Clause& a, const cnf::Clause& b) {
+                       return a.size() < b.size();
+                     });
+    solver::Subproblem in_ship_order = sp;
+    in_ship_order.clauses = cnf::ClausePool();
+    in_ship_order.clauses.append(sp.clauses, 0, first);
+    in_ship_order.clauses.append(learned);
+    for (const std::size_t budget : {0, 3, 17, 64, 200, 1 << 20}) {
+      solver::Subproblem copied = sp;
+      solver::Subproblem truncated = in_ship_order;
+      EXPECT_EQ(truncated.trim_learned(budget), copied.trim_learned(budget));
+      EXPECT_EQ(truncated, copied)
+          << "iteration " << i << " budget " << budget;
+      EXPECT_EQ(truncated.wire_size(), truncated.to_bytes().size());
+    }
+  }
+}
+
 TEST(WirePropertyTest, LengthSortedListEncodesLikeItsSource) {
   // The encoder skips its stable sort when lengths already ascend; the
   // stable-sorted copy of a list must emit the list's own bytes.
