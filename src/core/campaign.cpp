@@ -307,9 +307,11 @@ void Campaign::send(Endpoint from, Endpoint to, Msg kind, std::size_t bytes,
 
 std::size_t Campaign::clause_batch_bytes(const ClauseBatch& batch,
                                          bool lbd_tagged) {
-  std::size_t bytes = 8;
-  for (const auto& clause : batch.clauses) bytes += 2 + 4 * clause.size();
-  return lbd_tagged ? bytes + batch.clauses.size() : bytes;
+  // 8-byte header, then a 2-byte length and 4 bytes per literal for each
+  // clause (plus a 1-byte LBD tag on sub-master hops).
+  const std::size_t n = batch.clauses.size();
+  const std::size_t bytes = 8 + 2 * n + 4 * batch.clauses.num_lits();
+  return lbd_tagged ? bytes + n : bytes;
 }
 
 void Campaign::launch_client(std::size_t host_index) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
+#include <utility>
 
 #include "core/campaign.hpp"
 
@@ -116,8 +118,13 @@ void Client::start_subproblem(std::shared_ptr<solver::Subproblem> sp,
       [this, share_cap, collect_deltas](const cnf::Clause& clause,
                                         std::uint32_t lbd) {
         if (clause.size() <= share_cap) {
-          export_buffer_.push_back(clause);
-          export_lbds_.push_back(lbd);
+          // The one copy every hop and receiver reads, sorted in place.
+          const std::span<cnf::Lit> lits =
+              exports_.clauses.open_clause(clause.size());
+          std::copy(clause.begin(), clause.end(), lits.begin());
+          std::sort(lits.begin(), lits.end());
+          exports_.clauses.close_clause(lits.size());
+          exports_.lbds.push_back(lbd);
         }
         if (collect_deltas) ckpt_fresh_.push_back(clause);
       });
@@ -156,7 +163,9 @@ void Client::start_subproblem(std::shared_ptr<solver::Subproblem> sp,
 
 void Client::receive_clauses(std::shared_ptr<const ClauseBatch> batch) {
   if (!alive_ || !solver_) return;  // idle clients drop stale batches
-  solver_->import_clauses(batch->clauses);
+  // The solver queues the batch's own pool: an aliasing pointer, no copy.
+  solver_->import_clauses(
+      std::shared_ptr<const cnf::ClausePool>(batch, &batch->clauses));
 }
 
 bool Client::decline_stale_grant() {
@@ -207,15 +216,13 @@ void Client::end_tenancy() {
   imported_accumulated_ += solver_->stats().imported_clauses;
   imported_used_accumulated_ += solver_->stats().imported_used;
   solver_.reset();
-  export_buffer_.clear();
-  export_lbds_.clear();
+  exports_ = {};
 }
 
 void Client::kill() {
   alive_ = false;
   solver_.reset();
-  export_buffer_.clear();
-  export_lbds_.clear();
+  exports_ = {};
 }
 
 void Client::sub_hello() {
@@ -309,12 +316,9 @@ void Client::check_split_triggers() {
 }
 
 void Client::flush_exports() {
-  if (export_buffer_.empty()) return;
-  auto batch = std::make_shared<ClauseBatch>();
-  batch->clauses = std::move(export_buffer_);
-  batch->lbds = std::move(export_lbds_);
-  export_buffer_.clear();
-  export_lbds_.clear();
+  if (exports_.clauses.empty()) return;
+  const auto batch =
+      std::make_shared<const ClauseBatch>(std::exchange(exports_, {}));
   const std::size_t host = host_index_;
   const Campaign::Endpoint from = campaign_.endpoints_[host];
   const std::size_t home = campaign_.home_of(host);

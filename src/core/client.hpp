@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "cnf/clause_pool.hpp"
 #include "cnf/formula.hpp"
 #include "solver/cdcl.hpp"
 #include "solver/subproblem.hpp"
@@ -28,8 +29,14 @@ class Campaign;
 /// LBD tags, because the digest filter keys on them
 /// (config.inter_site_lbd_cap); the flat path and every relay to clients
 /// ship clauses only.
+///
+/// The exporter writes each clause once, literals strictly ascending
+/// (DESIGN.md §4b). A batch is immutable once sent: every later hop and
+/// every receiving solver reads the same pool through a shared pointer,
+/// and the canonical order passes the receiver's level-0 merge on its
+/// first try.
 struct ClauseBatch {
-  std::vector<cnf::Clause> clauses;
+  cnf::ClausePool clauses;
   std::vector<std::uint32_t> lbds;
 };
 
@@ -96,10 +103,9 @@ class Client {
   std::size_t host_index_;
   std::string name_;
   std::unique_ptr<solver::CdclSolver> solver_;
-  std::vector<cnf::Clause> export_buffer_;
-  /// LBD of each buffered export, parallel to export_buffer_; shipped to
-  /// the sub-master in hierarchical mode, dropped on the flat path.
-  std::vector<std::uint32_t> export_lbds_;
+  /// Exports since the last flush, in canonical order. The LBDs ship to
+  /// the sub-master in hierarchical mode and are dropped on the flat path.
+  ClauseBatch exports_;
   std::uint64_t work_accumulated_ = 0;  ///< from finished subproblems
   /// Import accounting carried across subproblem tenancies (the live
   /// solver's counts are added on top; see clauses_imported*()).

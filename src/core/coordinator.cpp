@@ -5,6 +5,7 @@
 // differ (root: migration, hybrid widening, brokering; sub-master: the
 // starvation WORK_REQUEST, the inter-site digest and the site summary).
 #include <algorithm>
+#include <span>
 
 #include "core/campaign.hpp"
 #include "solver/sharing.hpp"
@@ -263,26 +264,34 @@ void Campaign::admit_and_relay(std::size_t index,
     result_.clauses_shared += batch->clauses.size();
   }
   if (c.filter) {
-    auto fresh = std::make_shared<ClauseBatch>();
+    // The relay reads the incoming pool as is until the filter drops a
+    // clause; only then does it copy the admitted clauses into a fresh one.
+    std::shared_ptr<ClauseBatch> fresh;
     const std::size_t cap = config_.inter_site_lbd_cap;
     for (std::size_t i = 0; i < batch->clauses.size(); ++i) {
-      const cnf::Clause& clause = batch->clauses[i];
+      const std::span<const cnf::Lit> clause = batch->clauses[i];
       if (!c.filter->insert(solver::clause_fingerprint(clause))) {
         // The site has already circulated this clause (a local re-learn
         // or an earlier remote digest): suppress both the relay and the
         // digest copy.
         ++result_.digest_clauses_deduped;
+        if (!fresh) {
+          fresh = std::make_shared<ClauseBatch>();
+          fresh->clauses.append(batch->clauses, 0, i);
+        }
         continue;
       }
-      fresh->clauses.push_back(clause);
+      if (fresh) fresh->clauses.push_back(clause);
       const std::uint32_t lbd = i < batch->lbds.size() ? batch->lbds[i] : 0;
       if (from_client && cap > 0 && lbd <= cap) {
         c.digest.clauses.push_back(clause);
         c.digest.lbds.push_back(lbd);
       }
     }
-    if (fresh->clauses.empty()) return;
-    batch = std::move(fresh);
+    if (fresh) {
+      if (fresh->clauses.empty()) return;
+      batch = std::move(fresh);
+    }
   }
   // Relay to every other busy client served (§3.2: GridSAT "shares
   // clauses globally as soon as they are generated"; the root serves

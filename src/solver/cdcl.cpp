@@ -5,6 +5,7 @@
 #include <cassert>
 #include <chrono>
 #include <sstream>
+#include <utility>
 
 namespace gridsat::solver {
 
@@ -878,7 +879,7 @@ void CdclSolver::learn_and_attach(const std::vector<Lit>& learned,
   ++stats_.learned_clauses;
   stats_.learned_literals += learned.size();
   if (proof_on()) {
-    proof_emit(ProofEvent::kAdd, cnf::Clause(learned.begin(), learned.end()));
+    proof_emit(ProofEvent::kAdd, learned);
   }
   if (share_cb_) {
     ++stats_.exported_clauses;
@@ -958,15 +959,15 @@ std::optional<Lit> CdclSolver::pick_branch() {
   return std::nullopt;
 }
 
-void CdclSolver::proof_emit(ProofEvent event, cnf::Clause clause) {
+void CdclSolver::proof_emit(ProofEvent event,
+                            std::span<const Lit> clause) {
   ProofSink& sink = proof_sink_ != nullptr ? *proof_sink_ : proof_;
-  sink.proof_event(event, std::move(clause));
+  sink.proof_event(event, clause);
 }
 
 void CdclSolver::proof_delete(ClauseRef cref) {
   if (!proof_on()) return;
-  const auto lits = arena_.lits(cref);
-  proof_emit(ProofEvent::kDelete, cnf::Clause(lits.begin(), lits.end()));
+  proof_emit(ProofEvent::kDelete, arena_.lits(cref));
 }
 
 void CdclSolver::log_terminal() {
@@ -975,7 +976,7 @@ void CdclSolver::log_terminal() {
   cnf::Clause leaf;
   leaf.reserve(assumptions_.size());
   for (const Lit a : assumptions_) leaf.push_back(~a);
-  proof_emit(ProofEvent::kTerminal, std::move(leaf));
+  proof_emit(ProofEvent::kTerminal, leaf);
 }
 
 void CdclSolver::reduce_db() {
@@ -1118,24 +1119,28 @@ void CdclSolver::rewrite_refs(const ClauseArena::Remap& remap) {
 bool CdclSolver::merge_imports() {
   assert(decision_level() == 0);
   if (import_queue_.empty()) return true;
-  std::vector<cnf::Clause> batch;
-  batch.swap(import_queue_);
   obs::trace_event(tracer_, trace_worker_, obs::EventKind::kClauseImport,
-                   batch.size());
-  for (cnf::Clause& c : batch) {
-    ++stats_.imported_clauses;
-    const std::size_t clauses_before = arena_.num_learned();
-    const std::size_t trail_before = trail_.size();
-    ClauseRef imported_ref = kNoClause;
-    const bool ok = add_clause_at_level0(c, /*learned=*/true, &imported_ref);
-    if (proof_on()) proof_emit(ProofEvent::kImport, std::move(c));
-    if (!ok) {
-      root_conflict_ = true;  // paper §3.2 case 3: all literals false
-      return false;
-    }
-    if (imported_ref != kNoClause) arena_.mark_import(imported_ref);
-    if (arena_.num_learned() == clauses_before && trail_.size() == trail_before) {
-      ++stats_.imported_useless;  // case 4: satisfied/duplicate, discarded
+                   std::exchange(pending_imports_, 0));
+  // Taken out of the queue up front: a conflict drops the rest, as it
+  // leaves the subproblem refuted.
+  const auto batches = std::exchange(import_queue_, {});
+  for (const auto& batch : batches) {
+    for (const std::span<const Lit> c : *batch) {
+      ++stats_.imported_clauses;
+      const std::size_t clauses_before = arena_.num_learned();
+      const std::size_t trail_before = trail_.size();
+      ClauseRef imported_ref = kNoClause;
+      const bool ok = add_clause_at_level0(c, /*learned=*/true, &imported_ref);
+      if (proof_on()) proof_emit(ProofEvent::kImport, c);
+      if (!ok) {
+        root_conflict_ = true;  // paper §3.2 case 3: all literals false
+        return false;
+      }
+      if (imported_ref != kNoClause) arena_.mark_import(imported_ref);
+      if (arena_.num_learned() == clauses_before &&
+          trail_.size() == trail_before) {
+        ++stats_.imported_useless;  // case 4: satisfied/duplicate, discarded
+      }
     }
   }
   // Case 1 cascades: propagate the newly implied literals.
@@ -1163,7 +1168,7 @@ bool CdclSolver::simplify_at_level0() {
     const std::size_t level0_end = level0_size();
     for (std::size_t i = proof_logged_units_; i < level0_end; ++i) {
       if (!vars_[trail_[i].var()].taint) {
-        proof_emit(ProofEvent::kAdd, cnf::Clause{trail_[i]});
+        proof_emit(ProofEvent::kAdd, {&trail_[i], 1});
       }
     }
     proof_logged_units_ = level0_end;
@@ -1450,10 +1455,12 @@ Subproblem CdclSolver::to_subproblem(std::size_t learned_budget_bytes) const {
   return sp;
 }
 
-void CdclSolver::import_clauses(std::vector<cnf::Clause> clauses) {
-  import_queue_.insert(import_queue_.end(),
-                       std::make_move_iterator(clauses.begin()),
-                       std::make_move_iterator(clauses.end()));
+void CdclSolver::import_clauses(
+    std::shared_ptr<const cnf::ClausePool> clauses) {
+  assert(clauses != nullptr);
+  if (clauses->empty()) return;
+  pending_imports_ += clauses->size();
+  import_queue_.push_back(std::move(clauses));
 }
 
 std::vector<SubproblemUnit> CdclSolver::level0_units() const {

@@ -26,10 +26,13 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "cnf/clause_pool.hpp"
 #include "cnf/formula.hpp"
 #include "obs/trace.hpp"
 #include "solver/clause_arena.hpp"
@@ -304,13 +307,18 @@ class CdclSolver {
     share_cb_ = std::move(cb);
   }
 
-  /// Queue clauses received from other clients; merged in a batch the
+  /// Queue a batch of clauses received from other clients; merged the
   /// next time the solver is at decision level 0 (paper: "only ... after
-  /// the algorithm has backtracked to the first decision level").
-  void import_clauses(std::vector<cnf::Clause> clauses);
+  /// the algorithm has backtracked to the first decision level"). The
+  /// solver reads the shared pool in place and never writes it, so one
+  /// batch can be queued at any number of receivers. Clauses with
+  /// strictly ascending literals merge in one pass; others are sorted
+  /// into scratch first.
+  void import_clauses(std::shared_ptr<const cnf::ClausePool> clauses);
 
+  /// Clauses queued and not yet merged.
   [[nodiscard]] std::size_t pending_imports() const noexcept {
-    return import_queue_.size();
+    return pending_imports_;
   }
 
   // --- Level-0 state (checkpoints §3.4, termination, tests) ------------
@@ -650,7 +658,8 @@ class CdclSolver {
   std::uint32_t memory_squeezes_ = 0;
 
   // Sharing.
-  std::vector<cnf::Clause> import_queue_;
+  std::vector<std::shared_ptr<const cnf::ClausePool>> import_queue_;
+  std::size_t pending_imports_ = 0;  ///< clauses across import_queue_
   std::function<void(const cnf::Clause&, std::uint32_t)> share_cb_;
 
   std::function<void(const ConflictRecord&)> conflict_observer_;
@@ -668,7 +677,7 @@ class CdclSolver {
   [[nodiscard]] bool proof_on() const noexcept {
     return kProofCompiledIn && config_.log_proof;
   }
-  void proof_emit(ProofEvent event, cnf::Clause clause);
+  void proof_emit(ProofEvent event, std::span<const cnf::Lit> clause);
   void proof_delete(ClauseRef cref);
   /// Log the refutation terminal once: ¬(assumptions), which is the empty
   /// clause for a full-formula solver.

@@ -278,10 +278,9 @@ void ParallelSolver::run_subproblem(std::size_t worker_index,
     // with news are touched (and only their new suffix is copied).
     incoming.clear();
     if (pool_->collect(worker_index, cursor, incoming) > 0) {
-      std::vector<cnf::Clause> fresh;
-      fresh.reserve(incoming.size());
-      for (SharedClause& sc : incoming) fresh.push_back(std::move(sc.lits));
-      imported_ctr_->add(fresh.size());
+      auto fresh = std::make_shared<cnf::ClausePool>();
+      for (const SharedClause& sc : incoming) fresh->push_back(sc.lits);
+      imported_ctr_->add(fresh->size());
       solver.import_clauses(std::move(fresh));
     }
     // Feed starving workers.

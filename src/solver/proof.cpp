@@ -371,10 +371,11 @@ bool refute_residual_cover(const std::set<std::vector<std::uint32_t>>& sets,
 }  // namespace
 
 void DistributedProofBuilder::proof_event(ProofEvent event,
-                                          cnf::Clause clause) {
+                                          std::span<const Lit> clause) {
   if (event != ProofEvent::kAdd) return;
+  cnf::Clause kept(clause.begin(), clause.end());
   const std::scoped_lock lock(mu_);
-  log_.add(std::move(clause));
+  log_.add(std::move(kept));
 }
 
 void DistributedProofBuilder::add_leaf(

@@ -41,6 +41,7 @@
 #include <map>
 #include <mutex>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -71,23 +72,29 @@ struct ProofStep {
 enum class ProofEvent : std::uint8_t { kAdd, kDelete, kImport, kTerminal };
 
 /// Where a solver streams its proof. Each event goes to exactly one sink,
-/// which decides what to keep; the clause arrives by value, built once.
+/// which decides what to keep. The clause arrives as a view of the
+/// solver's own literals, valid only for the call: the sink copies what
+/// it keeps, so an event it drops costs no allocation.
 class ProofSink {
  public:
   virtual ~ProofSink() = default;
-  virtual void proof_event(ProofEvent event, cnf::Clause clause) = 0;
+  virtual void proof_event(ProofEvent event,
+                           std::span<const cnf::Lit> clause) = 0;
 };
 
 /// Append-only proof record. The solver writes it; the checker replays it.
-/// As a sink it keeps every event, a kDelete as a deletion step.
+/// As a sink it keeps a copy of every event, a kDelete as a deletion step.
 class ProofLog final : public ProofSink {
  public:
-  void proof_event(ProofEvent event, cnf::Clause clause) override {
-    steps_.push_back(
-        ProofStep{event == ProofEvent::kDelete, std::move(clause)});
+  void proof_event(ProofEvent event,
+                   std::span<const cnf::Lit> clause) override {
+    steps_.push_back(ProofStep{event == ProofEvent::kDelete,
+                               cnf::Clause(clause.begin(), clause.end())});
   }
-  void add(cnf::Clause c) { proof_event(ProofEvent::kAdd, std::move(c)); }
-  void remove(cnf::Clause c) { proof_event(ProofEvent::kDelete, std::move(c)); }
+  void add(cnf::Clause c) { steps_.push_back(ProofStep{false, std::move(c)}); }
+  void remove(cnf::Clause c) {
+    steps_.push_back(ProofStep{true, std::move(c)});
+  }
   void add_empty() { add({}); }
 
   [[nodiscard]] const std::vector<ProofStep>& steps() const noexcept {
@@ -185,9 +192,11 @@ ProofCheckResult certify(const cnf::CnfFormula& formula,
 /// and pays one uncontended lock per kept addition.
 class DistributedProofBuilder final : public ProofSink {
  public:
-  /// The shared log's keep rule: kAdd clauses are moved in, in arrival
-  /// order; every other event is dropped (see the header comment).
-  void proof_event(ProofEvent event, cnf::Clause clause) override;
+  /// The shared log's keep rule: kAdd clauses are copied in, in arrival
+  /// order; every other event is dropped before any copy or lock (see
+  /// the header comment).
+  void proof_event(ProofEvent event,
+                   std::span<const cnf::Lit> clause) override;
 
   /// Record that a subproblem with this guiding-path assumption set was
   /// refuted, and append its negated-assumption clause to the log. An

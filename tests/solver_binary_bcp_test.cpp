@@ -10,6 +10,7 @@
 //     clauses.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -195,7 +196,7 @@ TEST(BinaryBcpTest, ExportedBinariesImportSoundly) {
     });
     (void)exporter.solve();
     CdclSolver importer(f);
-    importer.import_clauses(shared);
+    importer.import_clauses(std::make_shared<const cnf::ClausePool>(shared));
     const SolveStatus status = importer.solve();
     EXPECT_EQ(importer.check_invariants(), "");
     EXPECT_EQ(status == SolveStatus::kSat, truth) << "seed " << seed;

@@ -5,6 +5,8 @@
 // clauses can be discarded without effecting the satisfiability").
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "gen/pigeonhole.hpp"
 #include "gen/random_ksat.hpp"
 #include "solver/brute_force.hpp"
@@ -79,7 +81,7 @@ TEST(MemorySemanticsTest, SqueezeWithSharingStillSound) {
   ASSERT_FALSE(shared.empty());
 
   CdclSolver receiver(f);
-  receiver.import_clauses(shared);
+  receiver.import_clauses(std::make_shared<const cnf::ClausePool>(shared));
   EXPECT_EQ(receiver.solve(), SolveStatus::kUnsat);
 }
 

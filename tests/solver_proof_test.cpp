@@ -4,8 +4,11 @@
 // soundness); DRAT rendering round-trips basics.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "core/campaign.hpp"
 #include "core/testbeds.hpp"
@@ -220,8 +223,8 @@ TEST(ProofTest, ImportedClausesKeepExportsRupAgainstOriginal) {
   auto cursor = pool.make_cursor();
   std::vector<SharedClause> incoming;
   ASSERT_GT(pool.collect(/*self=*/1, cursor, incoming), 0u);
-  std::vector<cnf::Clause> fresh;
-  for (SharedClause& sc : incoming) fresh.push_back(std::move(sc.lits));
+  auto fresh = std::make_shared<cnf::ClausePool>();
+  for (const SharedClause& sc : incoming) fresh->push_back(sc.lits);
   importer.import_clauses(std::move(fresh));
   (void)importer.solve(400'000);
   ASSERT_GT(checked, 0u);
@@ -375,6 +378,35 @@ TEST(DistributedProofBuilderTest, NoLeavesFailsTheStitch) {
 
 // --- End-to-end: the thread-parallel solver's stitched refutation ------
 
+TEST(ProofSinkTest, KeepRules) {
+  // A solver hands each event over as a view of its own literals; each
+  // sink copies what it keeps. The private log keeps every kind (a
+  // deletion as a deletion step), the shared builder additions only, in
+  // arrival order.
+  const cnf::Clause added = {Lit(3, false), Lit(1, true)};
+  const cnf::Clause deleted = {Lit(2, false), Lit(5, true), Lit(4, false)};
+  const cnf::Clause imported = {Lit(6, true), Lit(2, true)};
+  const cnf::Clause terminal = {Lit(7, true)};
+  const cnf::Clause unit = {Lit(8, false)};
+  const std::vector<std::pair<ProofEvent, cnf::Clause>> events = {
+      {ProofEvent::kAdd, added},         {ProofEvent::kDelete, deleted},
+      {ProofEvent::kImport, imported},   {ProofEvent::kTerminal, terminal},
+      {ProofEvent::kAdd, unit}};
+  ProofLog log;
+  DistributedProofBuilder builder;
+  for (const auto& [event, clause] : events) {
+    log.proof_event(event, clause);
+    builder.proof_event(event, clause);
+  }
+  EXPECT_EQ(log.steps(), (std::vector<ProofStep>{{false, added},
+                                                 {true, deleted},
+                                                 {false, imported},
+                                                 {false, terminal},
+                                                 {false, unit}}));
+  EXPECT_EQ(builder.log().steps(),
+            (std::vector<ProofStep>{{false, added}, {false, unit}}));
+}
+
 TEST(DistributedProofTest, ParallelRefutationCertifies) {
   REQUIRE_PROOF_HOOKS();
   const CnfFormula f = gen::pigeonhole_unsat(7);
@@ -480,8 +512,9 @@ TEST(DistributedProofTest, SinkAttachedSolverKeepsNoPrivateLog) {
   CdclSolver solver(branch, config);
   DistributedProofBuilder builder;
   solver.set_proof_sink(&builder);
-  twin.import_clauses(exports);
-  solver.import_clauses(exports);
+  const auto batch = std::make_shared<const cnf::ClausePool>(exports);
+  twin.import_clauses(batch);
+  solver.import_clauses(batch);
   ASSERT_EQ(twin.solve(), SolveStatus::kUnsat);
   ASSERT_EQ(solver.solve(), SolveStatus::kUnsat);
   EXPECT_TRUE(solver.proof().steps().empty());

@@ -4,6 +4,7 @@
 // trips and noisy imports.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 
 #include "cnf/dimacs.hpp"
@@ -132,9 +133,11 @@ TEST(ImportNoiseTest, DuplicateAndTautologicalImportsTolerated) {
     if (sound.size() < 20) sound.push_back(c);
   });
   donor.solve();
-  noisy.import_clauses({junk[0]});  // tautology is always sound
-  noisy.import_clauses(sound);
-  noisy.import_clauses(sound);  // import everything twice
+  noisy.import_clauses(  // tautology is always sound
+      std::make_shared<const cnf::ClausePool>(cnf::ClausePool{junk[0]}));
+  const auto batch = std::make_shared<const cnf::ClausePool>(sound);
+  noisy.import_clauses(batch);
+  noisy.import_clauses(batch);  // import everything twice
   const SolveStatus status = noisy.solve();
   EXPECT_EQ(status, expected);
   if (status == SolveStatus::kSat) {

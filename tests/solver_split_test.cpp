@@ -17,6 +17,8 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "cnf/formula.hpp"
@@ -33,6 +35,12 @@ namespace {
 
 using cnf::CnfFormula;
 using cnf::Lit;
+
+/// Clauses as a received batch: one shared pool, read in place.
+std::shared_ptr<const cnf::ClausePool> shared_pool(
+    const std::vector<cnf::Clause>& clauses) {
+  return std::make_shared<const cnf::ClausePool>(clauses);
+}
 
 /// Run the solver a little so it builds a decision stack, then split.
 /// Returns nullopt if the instance resolved before a split was possible.
@@ -214,7 +222,7 @@ TEST(SharingTest, ImportPreservesVerdict) {
     donor.solve();
 
     CdclSolver receiver(f);
-    receiver.import_clauses(harvest);
+    receiver.import_clauses(std::make_shared<const cnf::ClausePool>(harvest));
     const SolveStatus status = receiver.solve();
     EXPECT_EQ(status,
               truth ? SolveStatus::kSat : SolveStatus::kUnsat)
@@ -234,7 +242,7 @@ TEST(SharingTest, ImportedUnitForcesImplication) {
   f.add_dimacs_clause({-1, 2});
   f.add_dimacs_clause({3, 2});
   CdclSolver solver(f);
-  solver.import_clauses({cnf::Clause{Lit(3, true)}});
+  solver.import_clauses(shared_pool({cnf::Clause{Lit(3, true)}}));
   ASSERT_EQ(solver.solve(), SolveStatus::kSat);
   EXPECT_EQ(solver.value(3), cnf::LBool::kFalse);
   EXPECT_EQ(solver.stats().imported_clauses, 1u);
@@ -247,7 +255,7 @@ TEST(SharingTest, ImportedContradictionRefutesSubproblem) {
   f.add_dimacs_clause({1});
   f.add_dimacs_clause({2});
   CdclSolver solver(f);
-  solver.import_clauses({cnf::Clause{Lit(1, true), Lit(2, true)}});
+  solver.import_clauses(shared_pool({cnf::Clause{Lit(1, true), Lit(2, true)}}));
   EXPECT_EQ(solver.solve(), SolveStatus::kUnsat);
 }
 
@@ -257,7 +265,8 @@ TEST(SharingTest, SatisfiedImportDiscarded) {
   f.add_dimacs_clause({1});
   f.add_dimacs_clause({2, 3});
   CdclSolver solver(f);
-  solver.import_clauses({cnf::Clause{Lit(1, false), Lit(2, false)}});
+  solver.import_clauses(
+      shared_pool({cnf::Clause{Lit(1, false), Lit(2, false)}}));
   EXPECT_EQ(solver.solve(), SolveStatus::kSat);
   EXPECT_EQ(solver.stats().imported_useless, 1u);
 }
@@ -266,10 +275,121 @@ TEST(SharingTest, PendingImportsCounted) {
   CnfFormula f;
   f.add_dimacs_clause({1, 2});
   CdclSolver solver(f);
-  solver.import_clauses({cnf::Clause{Lit(1, false)}, cnf::Clause{Lit(2, false)}});
+  solver.import_clauses(
+      shared_pool({cnf::Clause{Lit(1, false)}, cnf::Clause{Lit(2, false)}}));
   EXPECT_EQ(solver.pending_imports(), 2u);
   solver.solve();
   EXPECT_EQ(solver.pending_imports(), 0u);
+}
+
+/// Everything a level-0 merge can leave behind: every stored clause in
+/// arena order with its literal order and learned flag, and the level-0
+/// trail.
+struct MergedState {
+  std::vector<std::pair<cnf::Clause, bool>> clauses;
+  std::vector<SubproblemUnit> level0;
+
+  friend bool operator==(const MergedState&, const MergedState&) = default;
+};
+
+MergedState merged_state(const CdclSolver& solver) {
+  MergedState state;
+  solver.for_each_clause([&](std::span<const Lit> lits, bool learned) {
+    state.clauses.emplace_back(cnf::Clause(lits.begin(), lits.end()), learned);
+  });
+  state.level0 = solver.level0_units();
+  return state;
+}
+
+TEST(ImportTest, SharedCanonicalBatchMatchesUnsortedImport) {
+  // One canonical pool (each clause sorted once, as an exporting client
+  // writes it) is queued at three receivers on different guiding paths.
+  // Each receiver has a twin that gets the same clauses in the same
+  // order, every clause's literals shuffled, so it merges through the
+  // sorting fallback. Both merges must store the same clauses in the same
+  // literal order and leave the same trail, and the searches that follow
+  // must match. No receiver may write the shared pool.
+  const CnfFormula f = gen::random_ksat(200, 850, 3, 23);
+  CdclSolver donor(f);
+  cnf::ClausePool canonical;
+  donor.set_share_callback([&](const cnf::Clause& c, std::uint32_t) {
+    if (c.size() > 10 || canonical.size() >= 40) return;
+    cnf::Clause sorted = c;
+    std::sort(sorted.begin(), sorted.end());
+    canonical.push_back(sorted);
+  });
+  (void)donor.solve(30'000);
+  const auto shallow = advance_and_split(donor, 2000);
+  ASSERT_TRUE(shallow.has_value());
+  const auto deep = advance_and_split(donor, 2000);
+  ASSERT_TRUE(deep.has_value());
+  ASSERT_GE(deep->units.size(), 2u);
+  ASSERT_GE(canonical.size(), 10u);
+
+  // Hand-made clauses, classified at the deep receiver's level 0: a true
+  // unit `a`, another `b`, and a variable `v` it leaves open.
+  const Lit a = deep->units[0].lit;
+  const Lit b = deep->units[1].lit;
+  cnf::Var v = 1;
+  while (std::any_of(deep->units.begin(), deep->units.end(),
+                     [v](const SubproblemUnit& u) { return u.lit.var() == v; })) {
+    ++v;
+  }
+  ASSERT_LE(v + 1, f.num_vars());
+  const Lit open(v, false);
+  const Lit other(v + 1, false);
+  std::vector<cnf::Clause> crafted = {
+      {open, ~open, other},  // tautology
+      {open, open, other},   // repeated literal
+      {a, open},             // satisfied
+      {~a, open},            // made unit
+      {~a, ~b},              // falsified: the deep receiver is refuted
+  };
+  for (cnf::Clause& c : crafted) {
+    std::sort(c.begin(), c.end());
+    canonical.push_back(c);
+  }
+  const auto batch = std::make_shared<const cnf::ClausePool>(canonical);
+
+  util::Xoshiro256 rng(2003);
+  const std::vector<Subproblem> receivers = {
+      CdclSolver(f).to_subproblem(), *shallow, *deep};
+  for (std::size_t k = 0; k < receivers.size(); ++k) {
+    auto shuffled = std::make_shared<cnf::ClausePool>();
+    for (const std::span<const Lit> lits : *batch) {
+      cnf::Clause c(lits.begin(), lits.end());
+      util::shuffle(c, rng);
+      shuffled->push_back(c);
+    }
+    CdclSolver shared(receivers[k]);
+    CdclSolver sorted(receivers[k]);
+    shared.import_clauses(batch);
+    sorted.import_clauses(std::move(shuffled));
+    EXPECT_EQ(shared.pending_imports(), batch->size());
+    // One decision: the merge has run and nothing has been learned yet.
+    const SolveStatus merged = shared.solve(1);
+    EXPECT_EQ(merged, sorted.solve(1)) << "receiver " << k;
+    if (k + 1 == receivers.size()) {
+      EXPECT_EQ(merged, SolveStatus::kUnsat);  // met the falsified clause
+    }
+    EXPECT_EQ(merged_state(shared), merged_state(sorted)) << "receiver " << k;
+    EXPECT_EQ(shared.num_assigned(), sorted.num_assigned());
+    EXPECT_EQ(shared.check_invariants(), "");
+    EXPECT_EQ(sorted.check_invariants(), "");
+    EXPECT_EQ(shared.solve(20'000), sorted.solve(20'000)) << "receiver " << k;
+    const SolverStats& x = shared.stats();
+    const SolverStats& y = sorted.stats();
+    EXPECT_EQ(x.conflicts, y.conflicts);
+    EXPECT_EQ(x.decisions, y.decisions);
+    EXPECT_EQ(x.propagations, y.propagations);
+    EXPECT_EQ(x.learned_clauses, y.learned_clauses);
+    EXPECT_EQ(x.work, y.work);
+    EXPECT_EQ(x.imported_clauses, y.imported_clauses);
+    EXPECT_EQ(x.imported_useless, y.imported_useless);
+    EXPECT_EQ(x.imported_used, y.imported_used);
+    EXPECT_EQ(merged_state(shared), merged_state(sorted));
+  }
+  EXPECT_EQ(*batch, canonical);
 }
 
 TEST(SubproblemTest, SerializationRoundTrip) {
