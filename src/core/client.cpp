@@ -115,7 +115,7 @@ void Client::start_subproblem(std::shared_ptr<solver::Subproblem> sp,
   // the hierarchical path ships it to the sub-master, whose inter-site
   // digest keys on it (config.inter_site_lbd_cap).
   solver_->set_share_callback(
-      [this, share_cap, collect_deltas](const cnf::Clause& clause,
+      [this, share_cap, collect_deltas](std::span<const cnf::Lit> clause,
                                         std::uint32_t lbd) {
         if (clause.size() <= share_cap) {
           // The one copy every hop and receiver reads, sorted in place.
@@ -126,7 +126,9 @@ void Client::start_subproblem(std::shared_ptr<solver::Subproblem> sp,
           exports_.clauses.close_clause(lits.size());
           exports_.lbds.push_back(lbd);
         }
-        if (collect_deltas) ckpt_fresh_.push_back(clause);
+        if (collect_deltas) {
+          ckpt_fresh_.emplace_back(clause.begin(), clause.end());
+        }
       });
   subproblem_started_ = campaign_.engine().now();
   last_transfer_s_ = transfer_seconds;

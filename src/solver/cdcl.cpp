@@ -850,7 +850,7 @@ void CdclSolver::apply_otf_strengthening() {
     // addressed downstream, so the new literal set re-fingerprints here.
     if (share_cb_) {
       ++stats_.exported_clauses;
-      share_cb_(std::move(strengthened), arena_.lbd(c));
+      share_cb_(strengthened, arena_.lbd(c));
     }
   }
   otf_jobs_.clear();
@@ -883,7 +883,7 @@ void CdclSolver::learn_and_attach(const std::vector<Lit>& learned,
   }
   if (share_cb_) {
     ++stats_.exported_clauses;
-    share_cb_(cnf::Clause(learned.begin(), learned.end()), lbd);
+    share_cb_(learned, lbd);
   }
   if (learned.size() == 1) {
     // A learned unit is a globally valid fact (all assumption

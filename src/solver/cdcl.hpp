@@ -301,9 +301,11 @@ class CdclSolver {
 
   /// Callback invoked for every learned clause with its LBD (clients
   /// filter by quality — LBD and/or length — and forward on the network).
-  /// The clause is globally valid.
+  /// The clause is globally valid. It arrives as a view of the solver's
+  /// own literals, valid only for the call: the callback copies what it
+  /// keeps.
   void set_share_callback(
-      std::function<void(const cnf::Clause&, std::uint32_t lbd)> cb) {
+      std::function<void(std::span<const cnf::Lit>, std::uint32_t lbd)> cb) {
     share_cb_ = std::move(cb);
   }
 
@@ -660,7 +662,7 @@ class CdclSolver {
   // Sharing.
   std::vector<std::shared_ptr<const cnf::ClausePool>> import_queue_;
   std::size_t pending_imports_ = 0;  ///< clauses across import_queue_
-  std::function<void(const cnf::Clause&, std::uint32_t)> share_cb_;
+  std::function<void(std::span<const cnf::Lit>, std::uint32_t)> share_cb_;
 
   std::function<void(const ConflictRecord&)> conflict_observer_;
   std::function<cnf::Lit()> decision_hook_;

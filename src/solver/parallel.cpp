@@ -217,12 +217,14 @@ void ParallelSolver::run_subproblem(std::size_t worker_index,
   const std::size_t max_len = options_.share_max_len;
   const std::uint32_t max_lbd = options_.share_max_lbd;
   solver.set_share_callback(
-      [&exports, max_len, max_lbd](const cnf::Clause& c, std::uint32_t lbd) {
+      [&exports, max_len, max_lbd](std::span<const cnf::Lit> c,
+                                   std::uint32_t lbd) {
         // Quality filter: short clauses are always cheap to ship; long
         // ones must earn it with a low LBD.
         if ((max_len > 0 && c.size() <= max_len) ||
             (max_lbd > 0 && lbd <= max_lbd)) {
-          exports.push_back(SharedClause{c, lbd});
+          exports.push_back(
+              SharedClause{cnf::Clause(c.begin(), c.end()), lbd});
         }
       });
   // Start reading from "now": clauses this subproblem should know about

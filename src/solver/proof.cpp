@@ -12,7 +12,7 @@ using cnf::LBool;
 using cnf::Lit;
 
 void ProofLog::write_drat(std::ostream& out) const {
-  for (const ProofStep& step : steps_) {
+  for (const ProofStep step : steps()) {
     if (step.deletion) out << "d ";
     for (const Lit l : step.clause) out << l.to_dimacs() << ' ';
     out << "0\n";
@@ -58,7 +58,7 @@ bool propagate_to_conflict(const std::vector<cnf::Clause>& database,
   return false;
 }
 
-bool is_tautology(const cnf::Clause& clause) {
+bool is_tautology(std::span<const Lit> clause) {
   for (std::size_t i = 0; i < clause.size(); ++i) {
     for (std::size_t j = i + 1; j < clause.size(); ++j) {
       if (clause[i] == ~clause[j]) return true;
@@ -91,11 +91,11 @@ ProofCheckResult check_unsat_proof(const cnf::CnfFormula& formula,
   std::vector<cnf::Clause> database = formula.clauses();
   const cnf::Var num_vars = formula.num_vars();
 
-  for (std::size_t i = 0; i < proof.steps().size(); ++i) {
-    const ProofStep& step = proof.steps()[i];
+  for (std::size_t i = 0; i < proof.size(); ++i) {
+    const ProofStep step = proof.step(i);
     if (step.deletion) {
       // Erase one matching clause (order-insensitive comparison).
-      cnf::Clause key = step.clause;
+      cnf::Clause key(step.clause.begin(), step.clause.end());
       std::sort(key.begin(), key.end());
       const auto it = std::find_if(
           database.begin(), database.end(), [&key](const cnf::Clause& c) {
@@ -110,20 +110,21 @@ ProofCheckResult check_unsat_proof(const cnf::CnfFormula& formula,
       ++result.steps_checked;
       continue;
     }
-    if (!is_rup(database, num_vars, step.clause)) {
+    cnf::Clause clause(step.clause.begin(), step.clause.end());
+    if (!is_rup(database, num_vars, clause)) {
       std::ostringstream msg;
-      msg << "step " << i << " is not RUP (clause of " << step.clause.size()
+      msg << "step " << i << " is not RUP (clause of " << clause.size()
           << " literals)";
       result.failed_step = i;
       result.message = msg.str();
       return result;
     }
     ++result.steps_checked;
-    if (step.clause.empty()) {
+    if (clause.empty()) {
       result.valid = true;  // refutation complete
       return result;
     }
-    database.push_back(step.clause);
+    database.push_back(std::move(clause));
   }
   result.message = "proof ended without deriving the empty clause";
   return result;
@@ -133,10 +134,27 @@ ProofCheckResult check_unsat_proof(const cnf::CnfFormula& formula,
 // ProofChecker — incremental watched-literal RUP
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// The deletion index's key: a clause's literals in ascending order.
+cnf::Clause sorted_key(std::span<const Lit> clause) {
+  cnf::Clause key(clause.begin(), clause.end());
+  std::sort(key.begin(), key.end());
+  return key;
+}
+
+}  // namespace
+
 ProofChecker::ProofChecker(const cnf::CnfFormula& formula)
     : num_vars_(formula.num_vars()) {
   assign_.assign(static_cast<std::size_t>(num_vars_) + 1, LBool::kUndef);
   watches_.resize((static_cast<std::size_t>(num_vars_) + 1) * 2);
+  std::size_t num_lits = 0;
+  for (const cnf::Clause& c : formula.clauses()) num_lits += c.size();
+  lits_.reserve(num_lits);
+  starts_.reserve(formula.clauses().size() + 1);
+  dead_.reserve(formula.clauses().size());
+  starts_.push_back(0);
   for (const cnf::Clause& c : formula.clauses()) add_clause(c);
 }
 
@@ -147,42 +165,53 @@ void ProofChecker::enqueue(Lit l) {
 
 bool ProofChecker::propagate() {
   while (qhead_ < trail_.size()) {
-    const Lit p = trail_[qhead_++];        // p just became true
-    auto& wl = watches_[(~p).code()];      // clauses watching ~p
-    std::size_t out = 0;
-    for (std::size_t i = 0; i < wl.size(); ++i) {
-      const std::uint32_t id = wl[i];
-      StoredClause& c = clauses_[id];
-      if (c.dead) continue;  // lazily drop deleted clauses from the list
-      auto& lits = c.lits;
-      if (lits[0] == ~p) std::swap(lits[0], lits[1]);
-      if (value(lits[0]) == LBool::kTrue) {
-        wl[out++] = id;
+    const Lit falsified = ~trail_[qhead_++];
+    // Compacting scan, as in CdclSolver::propagate_fast: replacement
+    // watches go to other literals' lists (a replacement is never false),
+    // so ws's buffer stays put while i/j walk it.
+    std::vector<Watcher>& ws = watches_[falsified.code()];
+    Watcher* const begin = ws.data();
+    Watcher* const end = begin + ws.size();
+    Watcher* i = begin;
+    Watcher* j = begin;
+    while (i != end) {
+      const Watcher w = *i++;
+      if (value(w.blocker) == LBool::kTrue) {
+        *j++ = w;
+        continue;
+      }
+      if (dead_[w.id] != 0) continue;  // lazily drop deleted clauses
+      const std::span<Lit> c = lits(w.id);
+      // Normalize: watched slot 1 holds the falsified literal.
+      if (c[0] == falsified) std::swap(c[0], c[1]);
+      const Lit first = c[0];
+      // Refresh the blocker: a true first literal shields the clause
+      // until the next rollback unassigns it.
+      if (first != w.blocker && value(first) == LBool::kTrue) {
+        *j++ = Watcher{w.id, first};
         continue;
       }
       bool moved = false;
-      for (std::size_t k = 2; k < lits.size(); ++k) {
-        if (value(lits[k]) != LBool::kFalse) {
-          std::swap(lits[1], lits[k]);
-          watches_[lits[1].code()].push_back(id);
+      for (std::size_t k = 2; k < c.size(); ++k) {
+        if (value(c[k]) != LBool::kFalse) {
+          std::swap(c[1], c[k]);
+          watches_[c[1].code()].push_back(Watcher{w.id, first});
           moved = true;
           break;
         }
       }
       if (moved) continue;
-      wl[out++] = id;  // stays watched here
-      if (value(lits[0]) == LBool::kFalse) {
+      *j++ = Watcher{w.id, first};  // stays watched here
+      if (value(first) == LBool::kFalse) {
         // Conflict. Preserve the unvisited tail of the list, then stop.
-        for (std::size_t j = i + 1; j < wl.size(); ++j) {
-          if (!clauses_[wl[j]].dead) wl[out++] = wl[j];
-        }
-        wl.resize(out);
+        while (i != end) *j++ = *i++;
+        ws.resize(static_cast<std::size_t>(j - begin));
         qhead_ = trail_.size();
         return true;
       }
-      enqueue(lits[0]);
+      enqueue(first);
     }
-    wl.resize(out);
+    ws.resize(static_cast<std::size_t>(j - begin));
   }
   return false;
 }
@@ -195,20 +224,21 @@ void ProofChecker::rollback_to_root() {
   qhead_ = root_size_;
 }
 
-void ProofChecker::add_clause(const cnf::Clause& clause) {
-  cnf::Clause key = clause;
-  std::sort(key.begin(), key.end());
-  const auto id = static_cast<std::uint32_t>(clauses_.size());
-  clauses_.push_back(StoredClause{clause, false});
-  index_[std::move(key)].push_back(id);
+void ProofChecker::add_clause(std::span<const Lit> clause) {
+  const auto id = static_cast<std::uint32_t>(dead_.size());
+  lits_.insert(lits_.end(), clause.begin(), clause.end());
+  assert(lits_.size() <= UINT32_MAX);
+  starts_.push_back(static_cast<std::uint32_t>(lits_.size()));
+  dead_.push_back(0);
+  if (indexed_) index_[sorted_key(clause)].push_back(id);
   if (root_falsified_) return;
 
   // Bring up to two root-non-false literals to the front.
-  auto& lits = clauses_.back().lits;
+  const std::span<Lit> c = lits(id);
   std::size_t non_false = 0;
-  for (std::size_t i = 0; i < lits.size() && non_false < 2; ++i) {
-    if (value(lits[i]) != LBool::kFalse) {
-      std::swap(lits[non_false], lits[i]);
+  for (std::size_t i = 0; i < c.size() && non_false < 2; ++i) {
+    if (value(c[i]) != LBool::kFalse) {
+      std::swap(c[non_false], c[i]);
       ++non_false;
     }
   }
@@ -220,30 +250,36 @@ void ProofChecker::add_clause(const cnf::Clause& clause) {
     // Unit (or effectively unit) under the root trail: assert and extend
     // the persistent root level. No watches needed — root literals are
     // never unassigned, so the clause stays satisfied forever.
-    if (value(lits[0]) == LBool::kUndef) {
-      enqueue(lits[0]);
+    if (value(c[0]) == LBool::kUndef) {
+      enqueue(c[0]);
       if (propagate()) root_falsified_ = true;
       root_size_ = trail_.size();
       qhead_ = root_size_;
     }
     return;
   }
-  watches_[lits[0].code()].push_back(id);
-  watches_[lits[1].code()].push_back(id);
+  watches_[c[0].code()].push_back(Watcher{id, c[1]});
+  watches_[c[1].code()].push_back(Watcher{id, c[0]});
 }
 
-void ProofChecker::delete_clause(const cnf::Clause& clause) {
-  cnf::Clause key = clause;
-  std::sort(key.begin(), key.end());
-  const auto it = index_.find(key);
+void ProofChecker::delete_clause(std::span<const Lit> clause) {
+  if (!indexed_) {
+    // First deletion: index every clause stored so far (none is dead
+    // yet); add_clause keeps the index current from here on.
+    indexed_ = true;
+    for (std::uint32_t id = 0; id < dead_.size(); ++id) {
+      index_[sorted_key(lits(id))].push_back(id);
+    }
+  }
+  const auto it = index_.find(sorted_key(clause));
   if (it == index_.end() || it->second.empty()) return;  // absent: harmless
   const std::uint32_t id = it->second.back();
   it->second.pop_back();
   if (it->second.empty()) index_.erase(it);
-  clauses_[id].dead = true;  // watch lists skip-and-drop it lazily
+  dead_[id] = 1;  // watch lists skip-and-drop it lazily
 }
 
-bool ProofChecker::rup(const cnf::Clause& clause) {
+bool ProofChecker::rup(std::span<const Lit> clause) {
   if (root_falsified_) return true;  // everything is implied already
   if (is_tautology(clause)) return true;
   for (const Lit l : clause) {
@@ -264,9 +300,21 @@ bool ProofChecker::rup(const cnf::Clause& clause) {
 }
 
 ProofCheckResult ProofChecker::check(const ProofLog& proof) {
+  // Reserve the store once for every clause the proof can add.
+  std::size_t added = 0;
+  std::size_t added_lits = 0;
+  for (const ProofStep step : proof.steps()) {
+    if (step.deletion) continue;
+    ++added;
+    added_lits += step.clause.size();
+  }
+  lits_.reserve(lits_.size() + added_lits);
+  starts_.reserve(starts_.size() + added);
+  dead_.reserve(dead_.size() + added);
+
   ProofCheckResult result;
-  for (std::size_t i = 0; i < proof.steps().size(); ++i) {
-    const ProofStep& step = proof.steps()[i];
+  for (std::size_t i = 0; i < proof.size(); ++i) {
+    const ProofStep step = proof.step(i);
     if (step.deletion) {
       delete_clause(step.clause);
       ++result.steps_checked;
@@ -373,9 +421,8 @@ bool refute_residual_cover(const std::set<std::vector<std::uint32_t>>& sets,
 void DistributedProofBuilder::proof_event(ProofEvent event,
                                           std::span<const Lit> clause) {
   if (event != ProofEvent::kAdd) return;
-  cnf::Clause kept(clause.begin(), clause.end());
   const std::scoped_lock lock(mu_);
-  log_.add(std::move(kept));
+  log_.add(clause);
 }
 
 void DistributedProofBuilder::add_leaf(
@@ -390,7 +437,7 @@ void DistributedProofBuilder::add_leaf(
     set.push_back(a.code());
   }
   std::sort(set.begin(), set.end());
-  log_.add(std::move(leaf));
+  log_.add(leaf);
   ++leaves_;
   insert_reduced(std::move(set));
 }
@@ -463,7 +510,7 @@ bool DistributedProofBuilder::stitch() {
       for (const std::uint32_t code : parent) {
         resolvent.push_back(~Lit::from_code(code));
       }
-      log_.add(std::move(resolvent));
+      log_.add(resolvent);
       insert_reduced(std::move(parent));
       resolved = true;
       break;  // `deepest` is gone; the loop condition must not read it

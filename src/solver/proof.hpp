@@ -36,10 +36,14 @@
 //     looks for.
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <iosfwd>
+#include <iterator>
 #include <map>
 #include <mutex>
+#include <ranges>
 #include <set>
 #include <span>
 #include <string>
@@ -60,11 +64,15 @@ inline constexpr bool kProofCompiledIn = false;
 inline constexpr bool kProofCompiledIn = true;
 #endif
 
+/// One step of a ProofLog, viewed in place: valid while the log lives
+/// and is not appended to.
 struct ProofStep {
   bool deletion = false;
-  cnf::Clause clause;  ///< empty clause = final refutation step
+  std::span<const cnf::Lit> clause;  ///< empty clause = refutation step
 
-  friend bool operator==(const ProofStep&, const ProofStep&) = default;
+  friend bool operator==(const ProofStep& a, const ProofStep& b) {
+    return a.deletion == b.deletion && std::ranges::equal(a.clause, b.clause);
+  }
 };
 
 /// One clause of a solver's proof stream: derived here (learned, strengthened
@@ -84,34 +92,101 @@ class ProofSink {
 
 /// Append-only proof record. The solver writes it; the checker replays it.
 /// As a sink it keeps a copy of every event, a kDelete as a deletion step.
+///
+/// Stored flat (DESIGN.md §4d): the literals of every step back to back in
+/// one buffer, one 32-bit end offset and one deletion byte per step, so a
+/// step costs its literals plus five bytes and no allocation of its own.
+/// Empty steps (the refutation, a root leaf) are ordinary steps here; the
+/// wire's ClausePool keeps its non-empty rule. Offsets are 32-bit: a log
+/// holds fewer than 2^32 literals.
 class ProofLog final : public ProofSink {
  public:
   void proof_event(ProofEvent event,
                    std::span<const cnf::Lit> clause) override {
-    steps_.push_back(ProofStep{event == ProofEvent::kDelete,
-                               cnf::Clause(clause.begin(), clause.end())});
+    append(event == ProofEvent::kDelete, clause);
   }
-  void add(cnf::Clause c) { steps_.push_back(ProofStep{false, std::move(c)}); }
-  void remove(cnf::Clause c) {
-    steps_.push_back(ProofStep{true, std::move(c)});
-  }
-  void add_empty() { add({}); }
+  void add(std::span<const cnf::Lit> clause) { append(false, clause); }
+  void remove(std::span<const cnf::Lit> clause) { append(true, clause); }
+  void add_empty() { append(false, {}); }
 
-  [[nodiscard]] const std::vector<ProofStep>& steps() const noexcept {
-    return steps_;
+  [[nodiscard]] std::size_t size() const noexcept { return ends_.size(); }
+
+  [[nodiscard]] ProofStep step(std::size_t i) const {
+    assert(i < ends_.size());
+    const std::size_t begin = i == 0 ? 0 : ends_[i - 1];
+    return {deletion_[i] != 0,
+            std::span<const cnf::Lit>(lits_.data() + begin, ends_[i] - begin)};
   }
-  [[nodiscard]] std::size_t size() const noexcept { return steps_.size(); }
-  [[nodiscard]] bool ends_with_empty_clause() const noexcept {
-    return !steps_.empty() && !steps_.back().deletion &&
-           steps_.back().clause.empty();
+
+  [[nodiscard]] bool ends_with_empty_clause() const {
+    if (ends_.empty()) return false;
+    const ProofStep last = step(size() - 1);
+    return !last.deletion && last.clause.empty();
   }
 
   /// Standard DRAT text rendering ("d" lines for deletions, "0"
   /// terminators), consumable by external checkers.
   void write_drat(std::ostream& out) const;
 
+  /// Forward iteration yields each step as a ProofStep view.
+  class const_iterator {
+   public:
+    using iterator_concept = std::forward_iterator_tag;
+    using iterator_category = std::input_iterator_tag;
+    using value_type = ProofStep;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = value_type;
+    const_iterator() = default;
+    [[nodiscard]] value_type operator*() const { return log_->step(i_); }
+    const_iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator prev = *this;
+      ++i_;
+      return prev;
+    }
+    friend bool operator==(const const_iterator&,
+                           const const_iterator&) = default;
+    friend difference_type operator-(const const_iterator& a,
+                                     const const_iterator& b) {
+      return static_cast<difference_type>(a.i_) -
+             static_cast<difference_type>(b.i_);
+    }
+
+   private:
+    friend class ProofLog;
+    const_iterator(const ProofLog* log, std::size_t i) : log_(log), i_(i) {}
+    // No default member initializers: they would keep the iterator from
+    // counting as default-constructible inside ProofLog, where steps()
+    // names the subrange type.
+    const ProofLog* log_;
+    std::size_t i_;
+  };
+  /// Every step in order, as ProofStep views.
+  [[nodiscard]] std::ranges::subrange<const_iterator> steps() const {
+    return {const_iterator(this, 0), const_iterator(this, size())};
+  }
+
+  friend bool operator==(const ProofLog& a, const ProofLog& b) {
+    return a.lits_ == b.lits_ && a.ends_ == b.ends_ &&
+           a.deletion_ == b.deletion_;
+  }
+
  private:
-  std::vector<ProofStep> steps_;
+  void append(bool deletion, std::span<const cnf::Lit> clause) {
+    lits_.insert(lits_.end(), clause.begin(), clause.end());
+    assert(lits_.size() <= UINT32_MAX);
+    ends_.push_back(static_cast<std::uint32_t>(lits_.size()));
+    deletion_.push_back(deletion ? 1 : 0);
+  }
+
+  std::vector<cnf::Lit> lits_;
+  /// ends_[i] is one past step i's last literal in lits_.
+  std::vector<std::uint32_t> ends_;
+  std::vector<std::uint8_t> deletion_;  ///< 1 = step i is a deletion
 };
 
 struct ProofCheckResult {
@@ -135,13 +210,22 @@ bool is_rup(const std::vector<cnf::Clause>& database, cnf::Var num_vars,
             const cnf::Clause& clause);
 
 /// Incremental watched-literal RUP checker. Same verdicts as
-/// check_unsat_proof on adds-only proofs, but O(propagations) per step
-/// instead of O(database^2): the root trail persists across steps,
-/// assumption literals are pushed and rolled back per check, and
-/// deletions detach lazily. One difference from the reference checker is
+/// check_unsat_proof on adds-only proofs, without rescanning the
+/// database: the root trail persists across steps, the negated clause is
+/// pushed and rolled back per check, and a step costs the watchers its
+/// propagation visits (a blocker read each, the clause itself only on a
+/// blocker miss). One difference from the reference checker is
 /// deliberate: root-level implications survive the deletion of their
 /// antecedent clause (sound — the implication was already derived), so
 /// this checker accepts a superset of what the reference accepts.
+///
+/// Storage is flat (DESIGN.md §4d): every clause's literals back to back
+/// in one buffer, sized for the formula at construction and grown once,
+/// when check() starts, for every literal the proof adds; one offset and
+/// one dead byte per clause. Deletions mark a clause dead and
+/// its watchers drop it lazily. The index that finds a deleted clause by
+/// its literal set is built at the first deletion step, from the live
+/// clauses, so an adds-only proof never pays for it.
 class ProofChecker {
  public:
   explicit ProofChecker(const cnf::CnfFormula& formula);
@@ -151,29 +235,37 @@ class ProofChecker {
   ProofCheckResult check(const ProofLog& proof);
 
  private:
-  struct StoredClause {
-    std::vector<cnf::Lit> lits;
-    bool dead = false;
+  /// A watch on clause `id`. The blocker is some other literal of the
+  /// clause: while it is true the clause is satisfied and not read.
+  struct Watcher {
+    std::uint32_t id;
+    cnf::Lit blocker;
   };
 
   [[nodiscard]] cnf::LBool value(cnf::Lit l) const noexcept {
     return l.value_under(assign_[l.var()]);
   }
+  [[nodiscard]] std::span<cnf::Lit> lits(std::uint32_t id) noexcept {
+    return {lits_.data() + starts_[id], starts_[id + 1] - starts_[id]};
+  }
   void enqueue(cnf::Lit l);
   bool propagate();  // true iff a conflict was reached
   void rollback_to_root();
-  void add_clause(const cnf::Clause& clause);
-  void delete_clause(const cnf::Clause& clause);
-  bool rup(const cnf::Clause& clause);
+  void add_clause(std::span<const cnf::Lit> clause);
+  void delete_clause(std::span<const cnf::Lit> clause);
+  bool rup(std::span<const cnf::Lit> clause);
 
   cnf::Var num_vars_ = 0;
-  std::vector<StoredClause> clauses_;
-  std::vector<std::vector<std::uint32_t>> watches_;  // indexed by lit code
-  std::vector<cnf::LBool> assign_;                   // indexed by var
+  std::vector<cnf::Lit> lits_;           // every clause, back to back
+  std::vector<std::uint32_t> starts_;    // clause id -> offset; + end sentinel
+  std::vector<std::uint8_t> dead_;       // 1 = deleted
+  std::vector<std::vector<Watcher>> watches_;  // indexed by lit code
+  std::vector<cnf::LBool> assign_;             // indexed by var
   std::vector<cnf::Lit> trail_;
   std::size_t qhead_ = 0;
   std::size_t root_size_ = 0;    // trail prefix that persists across checks
   bool root_falsified_ = false;  // formula already refuted at level 0
+  bool indexed_ = false;         // index_ built (first deletion seen)
   std::map<cnf::Clause, std::vector<std::uint32_t>> index_;  // sorted -> ids
 };
 

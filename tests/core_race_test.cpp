@@ -207,7 +207,7 @@ TEST_P(RaceDeterminism, RepeatedRunsAreIdentical) {
     // Same winner, same arrival order, same stitched proof.
     ASSERT_TRUE(a.proof != nullptr);
     ASSERT_TRUE(b.proof != nullptr);
-    EXPECT_TRUE(a.proof->steps() == b.proof->steps());
+    EXPECT_TRUE(*a.proof == *b.proof);
   }
 }
 

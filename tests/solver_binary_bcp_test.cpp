@@ -191,9 +191,10 @@ TEST(BinaryBcpTest, ExportedBinariesImportSoundly) {
     const bool truth = brute_force_solve(f).has_value();
     CdclSolver exporter(f);
     std::vector<cnf::Clause> shared;
-    exporter.set_share_callback([&](const cnf::Clause& c, std::uint32_t) {
-      if (c.size() <= 2) shared.push_back(c);
-    });
+    exporter.set_share_callback(
+        [&](std::span<const cnf::Lit> c, std::uint32_t) {
+          if (c.size() <= 2) shared.emplace_back(c.begin(), c.end());
+        });
     (void)exporter.solve();
     CdclSolver importer(f);
     importer.import_clauses(std::make_shared<const cnf::ClausePool>(shared));

@@ -356,7 +356,8 @@ TEST(CdclStatsTest, ShareCallbackSeesEveryLearnedClause) {
   const CnfFormula f = gen::pigeonhole_unsat(5);
   CdclSolver solver(f);
   std::size_t shared = 0;
-  solver.set_share_callback([&](const cnf::Clause&, std::uint32_t) { ++shared; });
+  solver.set_share_callback(
+      [&](std::span<const cnf::Lit>, std::uint32_t) { ++shared; });
   solver.solve();
   EXPECT_EQ(shared,
             solver.stats().learned_clauses + solver.stats().otf_strengthened);

@@ -90,7 +90,7 @@ TEST(LbdTest, ShareCallbackReportsSameLbdAsConflictRecord) {
   solver.set_conflict_observer([&](const ConflictRecord& rec) {
     if (observed.size() < 200) observed.push_back(rec.lbd);
   });
-  solver.set_share_callback([&](const cnf::Clause& c, std::uint32_t lbd) {
+  solver.set_share_callback([&](std::span<const cnf::Lit> c, std::uint32_t lbd) {
     if (shared.size() < 200) {
       shared.push_back(lbd);
       // LBD can never exceed the number of literals.

@@ -74,8 +74,10 @@ TEST(MemorySemanticsTest, SqueezeWithSharingStillSound) {
   config.max_memory_squeezes = 0;
   CdclSolver donor(f, config);
   std::vector<cnf::Clause> shared;
-  donor.set_share_callback([&](const cnf::Clause& c, std::uint32_t) {
-    if (c.size() <= 8 && shared.size() < 100) shared.push_back(c);
+  donor.set_share_callback([&](std::span<const cnf::Lit> c, std::uint32_t) {
+    if (c.size() <= 8 && shared.size() < 100) {
+      shared.emplace_back(c.begin(), c.end());
+    }
   });
   EXPECT_EQ(donor.solve(), SolveStatus::kUnsat);
   ASSERT_FALSE(shared.empty());

@@ -4,6 +4,8 @@
 // soundness); DRAT rendering round-trips basics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -20,6 +22,7 @@
 #include "solver/cdcl.hpp"
 #include "solver/parallel.hpp"
 #include "solver/proof.hpp"
+#include "solver_proof_golden.inc"
 
 namespace gridsat::solver {
 namespace {
@@ -159,16 +162,17 @@ TEST(ProofTest, SharedClausesFromSplitSolversAreRupAgainstOriginal) {
   std::vector<cnf::Clause> database = f.clauses();
   std::size_t checked = 0;
   bool all_rup = true;
-  const auto checker = [&](const cnf::Clause& c, std::uint32_t) {
+  const auto checker = [&](std::span<const cnf::Lit> c, std::uint32_t) {
     // Append in causal order: a clause may resolve on earlier learned
     // clauses (including ones the donor learned before the split, which
     // the branch inherits), so the checker database must contain every
     // export that preceded it.
+    cnf::Clause clause(c.begin(), c.end());
     if (checked < 60) {
       ++checked;
-      if (!is_rup(database, f.num_vars(), c)) all_rup = false;
+      if (!is_rup(database, f.num_vars(), clause)) all_rup = false;
     }
-    database.push_back(c);
+    database.push_back(std::move(clause));
   };
   CdclSolver a(f);
   a.set_share_callback(checker);
@@ -198,20 +202,22 @@ TEST(ProofTest, ImportedClausesKeepExportsRupAgainstOriginal) {
   std::vector<cnf::Clause> database = f.clauses();
   std::size_t checked = 0;
   bool all_rup = true;
-  const auto checker = [&](const cnf::Clause& c, std::uint32_t) {
+  const auto checker = [&](std::span<const cnf::Lit> c, std::uint32_t) {
+    cnf::Clause clause(c.begin(), c.end());
     if (checked < 60) {
       ++checked;
-      if (!is_rup(database, f.num_vars(), c)) all_rup = false;
+      if (!is_rup(database, f.num_vars(), clause)) all_rup = false;
     }
-    database.push_back(c);
+    database.push_back(std::move(clause));
   };
 
   SharedClausePool pool(2);
   CdclSolver donor(f);
-  donor.set_share_callback([&](const cnf::Clause& c, std::uint32_t lbd) {
-    checker(c, lbd);
-    pool.publish(0, {SharedClause{c, lbd}});
-  });
+  donor.set_share_callback(
+      [&](std::span<const cnf::Lit> c, std::uint32_t lbd) {
+        checker(c, lbd);
+        pool.publish(0, {SharedClause{cnf::Clause(c.begin(), c.end()), lbd}});
+      });
   while (!donor.can_split() && donor.solve(200) == SolveStatus::kUnknown) {
   }
   ASSERT_TRUE(donor.can_split());
@@ -281,6 +287,191 @@ TEST(ProofCheckerTest, RandomSweepAgreement) {
     const ProofCheckResult fast = certify(f, solver.proof());
     EXPECT_EQ(naive.valid, fast.valid) << "seed " << seed;
   }
+}
+
+// --- certify() against the reference: differential and mutation checks --
+
+/// Solver refutations with many deletion steps (pigeonhole 5 and 6 under
+/// an aggressive reduction schedule) plus the random 3-SAT sweep.
+std::vector<std::pair<CnfFormula, ProofLog>> solver_refutations(int max_php) {
+  SolverConfig config = proof_config();
+  config.reduce_base = 50;
+  std::vector<std::pair<CnfFormula, ProofLog>> out;
+  const auto refute = [&](CnfFormula f) {
+    CdclSolver solver(f, config);
+    if (solver.solve() != SolveStatus::kUnsat) return;
+    ProofLog log = solver.proof();
+    out.emplace_back(std::move(f), std::move(log));
+  };
+  for (int n = 5; n <= max_php; ++n) refute(gen::pigeonhole_unsat(n));
+  for (int seed = 0; seed < 10; ++seed) {
+    refute(gen::random_ksat(16, 90, 3, seed * 523 + 7));
+  }
+  return out;
+}
+
+/// Copy of `log` with step `at` replaced by `replacement` (nothing when
+/// empty), and `inserted` placed before step `at`.
+ProofLog mutate(const ProofLog& log, std::size_t at,
+                std::optional<ProofStep> replacement,
+                std::optional<ProofStep> inserted = std::nullopt) {
+  ProofLog out;
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    ProofStep step = log.step(i);
+    if (i == at) {
+      if (inserted) {
+        inserted->deletion ? out.remove(inserted->clause)
+                           : out.add(inserted->clause);
+      }
+      if (!replacement) continue;
+      step = *replacement;
+    }
+    step.deletion ? out.remove(step.clause) : out.add(step.clause);
+  }
+  return out;
+}
+
+TEST(ProofCheckerTest, AgreesWithReferenceOnDeletionHeavyProofs) {
+  REQUIRE_PROOF_HOOKS();
+  std::size_t deletions = 0;
+  for (const auto& [f, log] : solver_refutations(6)) {
+    for (const ProofStep& step : log.steps()) deletions += step.deletion;
+    const ProofCheckResult naive = check_unsat_proof(f, log);
+    const ProofCheckResult fast = certify(f, log);
+    EXPECT_TRUE(naive.valid) << naive.message;
+    EXPECT_EQ(naive.valid, fast.valid) << fast.message;
+    EXPECT_EQ(naive.steps_checked, fast.steps_checked);
+  }
+  EXPECT_GT(deletions, 100u) << "expected deletion-heavy logs";
+}
+
+TEST(ProofCheckerTest, AddsOnlyMutantsFailAtTheSameStep) {
+  // On adds-only logs the two checkers decide every step alike, so a
+  // broken lemma must fail both at the same step. Mutants: a lemma with
+  // one literal dropped, a lemma removed, a non-RUP unit inserted.
+  REQUIRE_PROOF_HOOKS();
+  std::size_t mutants = 0;
+  std::size_t rejected = 0;
+  for (const auto& [f, log] : solver_refutations(5)) {
+    ProofLog adds;
+    for (const ProofStep& step : log.steps()) {
+      if (!step.deletion) adds.add(step.clause);
+    }
+    const std::vector<Lit> free_unit = {Lit(1, false)};
+    for (const std::size_t at :
+         {adds.size() / 4, adds.size() / 2, adds.size() * 3 / 4}) {
+      const ProofStep lemma = adds.step(at);
+      std::vector<ProofLog> variants;
+      if (!lemma.clause.empty()) {
+        variants.push_back(
+            mutate(adds, at, ProofStep{false, lemma.clause.subspan(1)}));
+      }
+      variants.push_back(mutate(adds, at, std::nullopt));
+      variants.push_back(
+          mutate(adds, at, lemma, ProofStep{false, free_unit}));
+      for (const ProofLog& mutant : variants) {
+        const ProofCheckResult naive = check_unsat_proof(f, mutant);
+        const ProofCheckResult fast = certify(f, mutant);
+        ++mutants;
+        rejected += !naive.valid;
+        EXPECT_EQ(naive.valid, fast.valid) << "step " << at;
+        EXPECT_EQ(naive.steps_checked, fast.steps_checked) << "step " << at;
+        EXPECT_EQ(naive.failed_step, fast.failed_step) << "step " << at;
+        EXPECT_EQ(naive.message, fast.message) << "step " << at;
+      }
+    }
+  }
+  EXPECT_GT(mutants, 0u);
+  EXPECT_GT(rejected, 0u) << "no mutant broke a refutation";
+}
+
+TEST(ProofCheckerTest, DeletionMutantsAcceptWhatTheReferenceAccepts) {
+  // certify() keeps root implications of deleted clauses, so it accepts a
+  // superset of what the reference accepts: never less. Mutants delete a
+  // lemma right after it is added, delete an original clause early, or
+  // drop a deletion step.
+  REQUIRE_PROOF_HOOKS();
+  std::size_t accepted = 0;
+  for (const auto& [f, log] : solver_refutations(5)) {
+    std::vector<ProofLog> variants;
+    for (const std::size_t at : {log.size() / 4, log.size() / 2}) {
+      const ProofStep step = log.step(at);
+      if (!step.deletion && !step.clause.empty()) {
+        variants.push_back(
+            mutate(log, at + 1, log.step(at + 1),
+                   ProofStep{true, step.clause}));
+      }
+      variants.push_back(mutate(log, at, step,
+                                ProofStep{true, f.clauses()[at % 7]}));
+      if (step.deletion) variants.push_back(mutate(log, at, std::nullopt));
+    }
+    for (const ProofLog& mutant : variants) {
+      const ProofCheckResult naive = check_unsat_proof(f, mutant);
+      const ProofCheckResult fast = certify(f, mutant);
+      if (!naive.valid) continue;
+      ++accepted;
+      EXPECT_TRUE(fast.valid) << fast.message;
+      EXPECT_EQ(naive.steps_checked, fast.steps_checked);
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+}
+
+TEST(ProofCheckerTest, LateFirstDeletionFindsEarlierClauses) {
+  // The deletion index is built at the first deletion step, from every
+  // live clause before it: here an original clause, deleted after two
+  // lemmas, must be found, so the lemma that needed it fails in both.
+  CnfFormula f(4);
+  f.add_dimacs_clause({1, 2, 3});
+  f.add_dimacs_clause({-1, 2, 3});
+  const auto clause = [](std::initializer_list<int> dimacs) {
+    cnf::Clause c;
+    for (const int d : dimacs) c.push_back(Lit::from_dimacs(d));
+    return c;
+  };
+  ProofLog log;
+  log.add(clause({1, 2, 3, 4}));
+  log.add(clause({-1, 2, 3, 4}));
+  log.remove(clause({3, 2, 1}));  // the first deletion
+  log.add(clause({2, 3}));        // RUP only with (1 2 3)
+  const ProofCheckResult naive = check_unsat_proof(f, log);
+  const ProofCheckResult fast = certify(f, log);
+  EXPECT_FALSE(fast.valid);
+  EXPECT_EQ(fast.failed_step, 3u);
+  EXPECT_EQ(naive.failed_step, fast.failed_step);
+  EXPECT_EQ(naive.steps_checked, fast.steps_checked);
+
+  // Without the deletion the same lemma checks.
+  ProofLog kept;
+  kept.add(clause({1, 2, 3, 4}));
+  kept.add(clause({-1, 2, 3, 4}));
+  kept.add(clause({2, 3}));
+  kept.add_empty();
+  EXPECT_EQ(certify(f, kept).steps_checked, 3u);
+}
+
+TEST(ProofCheckerTest, ClauseAddedTwiceDeletedOnceKeepsOneCopy) {
+  CnfFormula f(4);
+  f.add_dimacs_clause({1, 2, 3});
+  f.add_dimacs_clause({-1, 2, 3});
+  const auto clause = [](std::initializer_list<int> dimacs) {
+    cnf::Clause c;
+    for (const int d : dimacs) c.push_back(Lit::from_dimacs(d));
+    return c;
+  };
+  ProofLog log;
+  log.remove(clause({4, 3}));     // absent: harmless; builds the index
+  log.add(clause({3, 2, 1}));     // a second copy of (1 2 3), indexed
+  log.remove(clause({1, 2, 3}));  // removes one copy
+  log.add(clause({2, 3, 4}));     // RUP with the copy that is left
+  log.remove(clause({2, 1, 3}));  // removes the other
+  log.add(clause({2, 3, -4}));    // RUP only with (1 2 3)
+  const ProofCheckResult naive = check_unsat_proof(f, log);
+  const ProofCheckResult fast = certify(f, log);
+  EXPECT_FALSE(fast.valid);
+  EXPECT_EQ(fast.failed_step, 5u) << fast.message;
+  EXPECT_EQ(naive.failed_step, fast.failed_step);
+  EXPECT_EQ(naive.steps_checked, fast.steps_checked);
 }
 
 // --- DistributedProofBuilder: split-tree stitching ---------------------
@@ -398,13 +589,17 @@ TEST(ProofSinkTest, KeepRules) {
     log.proof_event(event, clause);
     builder.proof_event(event, clause);
   }
-  EXPECT_EQ(log.steps(), (std::vector<ProofStep>{{false, added},
-                                                 {true, deleted},
-                                                 {false, imported},
-                                                 {false, terminal},
-                                                 {false, unit}}));
-  EXPECT_EQ(builder.log().steps(),
-            (std::vector<ProofStep>{{false, added}, {false, unit}}));
+  ProofLog every;
+  every.add(added);
+  every.remove(deleted);
+  every.add(imported);
+  every.add(terminal);
+  every.add(unit);
+  EXPECT_EQ(log, every);
+  ProofLog additions;
+  additions.add(added);
+  additions.add(unit);
+  EXPECT_EQ(builder.log(), additions);
 }
 
 TEST(DistributedProofTest, ParallelRefutationCertifies) {
@@ -498,9 +693,10 @@ TEST(DistributedProofTest, SinkAttachedSolverKeepsNoPrivateLog) {
   config.reduce_growth = 1.05;
   CdclSolver donor(f, config);
   std::vector<cnf::Clause> exports;
-  donor.set_share_callback([&exports](const cnf::Clause& c, std::uint32_t) {
-    if (exports.size() < 20) exports.push_back(c);
-  });
+  donor.set_share_callback(
+      [&exports](std::span<const cnf::Lit> c, std::uint32_t) {
+        if (exports.size() < 20) exports.emplace_back(c.begin(), c.end());
+      });
   while (!donor.can_split() && donor.solve(200) == SolveStatus::kUnknown) {
   }
   ASSERT_TRUE(donor.can_split());
@@ -535,7 +731,7 @@ TEST(DistributedProofTest, SinkAttachedSolverKeepsNoPrivateLog) {
   ASSERT_FALSE(twin_additions.empty());
   EXPECT_EQ(twin_additions.back().clause.size(), branch.assumptions.size());
 
-  const std::vector<ProofStep>& shared = builder.log().steps();
+  const auto shared = builder.log().steps();
   for (const ProofStep& step : shared) EXPECT_FALSE(step.deletion);
   EXPECT_EQ(shared.size() + twin.stats().imported_clauses + 1,
             twin_additions.size());
@@ -632,6 +828,53 @@ TEST(ProofTest, DratRendering) {
   std::ostringstream out;
   log.write_drat(out);
   EXPECT_EQ(out.str(), "1 -2 0\nd 3 0\n0\n");
+}
+
+TEST(ProofLogTest, FlatLogKeepsEveryStep) {
+  const cnf::Clause a = {Lit(1, false), Lit(2, true)};
+  const cnf::Clause b = {Lit(3, false)};
+  const cnf::Clause c = {Lit(2, false), Lit(4, true), Lit(1, true)};
+  ProofLog log;
+  EXPECT_TRUE(log.steps().empty());
+  EXPECT_FALSE(log.ends_with_empty_clause());
+  log.add(a);
+  log.remove(b);
+  log.add_empty();  // mid-log
+  EXPECT_TRUE(log.ends_with_empty_clause());
+  log.proof_event(ProofEvent::kDelete, c);
+  EXPECT_FALSE(log.ends_with_empty_clause());
+  log.remove({});  // an empty deletion is no refutation
+  EXPECT_FALSE(log.ends_with_empty_clause());
+  log.proof_event(ProofEvent::kImport, c);
+  log.add_empty();  // at the end
+  EXPECT_TRUE(log.ends_with_empty_clause());
+
+  const std::vector<ProofStep> want = {{false, a}, {true, b},  {false, {}},
+                                       {true, c},  {true, {}}, {false, c},
+                                       {false, {}}};
+  ASSERT_EQ(log.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(log.step(i), want[i]) << "step " << i;
+  }
+  EXPECT_TRUE(std::ranges::equal(log.steps(), want));
+  std::ostringstream out;
+  log.write_drat(out);
+  EXPECT_EQ(out.str(), "1 -2 0\nd 3 0\n0\nd 2 -4 -1 0\nd 0\n2 -4 -1 0\n0\n");
+
+  ProofLog copy = log;
+  EXPECT_EQ(copy, log);
+  copy.add_empty();
+  EXPECT_FALSE(copy == log);
+
+  // A solver refutation with deletions renders byte for byte as before.
+  REQUIRE_PROOF_HOOKS();
+  SolverConfig config = proof_config();
+  config.reduce_base = 50;
+  CdclSolver solver(gen::pigeonhole_unsat(5), config);
+  ASSERT_EQ(solver.solve(), SolveStatus::kUnsat);
+  std::ostringstream drat;
+  solver.proof().write_drat(drat);
+  EXPECT_EQ(drat.str(), kPigeonhole5Reduce50Drat);
 }
 
 TEST(ProofTest, SatRunsLeaveNoEmptyClause) {

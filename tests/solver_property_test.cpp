@@ -129,8 +129,8 @@ TEST(ImportNoiseTest, DuplicateAndTautologicalImportsTolerated) {
   // it... use clauses from the reference solver to stay sound.
   std::vector<cnf::Clause> sound;
   CdclSolver donor(f);
-  donor.set_share_callback([&](const cnf::Clause& c, std::uint32_t) {
-    if (sound.size() < 20) sound.push_back(c);
+  donor.set_share_callback([&](std::span<const cnf::Lit> c, std::uint32_t) {
+    if (sound.size() < 20) sound.emplace_back(c.begin(), c.end());
   });
   donor.solve();
   noisy.import_clauses(  // tautology is always sound

@@ -170,11 +170,11 @@ TEST(SharingSoundnessTest, SharedClausesImpliedByOriginalFormula) {
     CdclSolver b(*other);
 
     std::vector<cnf::Clause> shared;
-    b.set_share_callback([&](const cnf::Clause& c, std::uint32_t) {
-      if (shared.size() < 50) shared.push_back(c);
+    b.set_share_callback([&](std::span<const cnf::Lit> c, std::uint32_t) {
+      if (shared.size() < 50) shared.emplace_back(c.begin(), c.end());
     });
-    a.set_share_callback([&](const cnf::Clause& c, std::uint32_t) {
-      if (shared.size() < 50) shared.push_back(c);
+    a.set_share_callback([&](std::span<const cnf::Lit> c, std::uint32_t) {
+      if (shared.size() < 50) shared.emplace_back(c.begin(), c.end());
     });
     a.solve();
     b.solve();
@@ -198,8 +198,8 @@ TEST(SharingSoundnessTest, DeepSplitChainStillSound) {
   // learns must still be implied by the original formula.
   CdclSolver leaf(branches.back());
   std::vector<cnf::Clause> shared;
-  leaf.set_share_callback([&](const cnf::Clause& c, std::uint32_t) {
-    if (shared.size() < 30) shared.push_back(c);
+  leaf.set_share_callback([&](std::span<const cnf::Lit> c, std::uint32_t) {
+    if (shared.size() < 30) shared.emplace_back(c.begin(), c.end());
   });
   leaf.solve(2'000'000);
   ASSERT_FALSE(shared.empty());
@@ -216,8 +216,10 @@ TEST(SharingTest, ImportPreservesVerdict) {
     // Harvest clauses from one run, inject into a fresh solver.
     CdclSolver donor(f);
     std::vector<cnf::Clause> harvest;
-    donor.set_share_callback([&](const cnf::Clause& c, std::uint32_t) {
-      if (c.size() <= 10 && harvest.size() < 200) harvest.push_back(c);
+    donor.set_share_callback([&](std::span<const cnf::Lit> c, std::uint32_t) {
+      if (c.size() <= 10 && harvest.size() < 200) {
+        harvest.emplace_back(c.begin(), c.end());
+      }
     });
     donor.solve();
 
@@ -312,9 +314,9 @@ TEST(ImportTest, SharedCanonicalBatchMatchesUnsortedImport) {
   const CnfFormula f = gen::random_ksat(200, 850, 3, 23);
   CdclSolver donor(f);
   cnf::ClausePool canonical;
-  donor.set_share_callback([&](const cnf::Clause& c, std::uint32_t) {
+  donor.set_share_callback([&](std::span<const cnf::Lit> c, std::uint32_t) {
     if (c.size() > 10 || canonical.size() >= 40) return;
-    cnf::Clause sorted = c;
+    cnf::Clause sorted(c.begin(), c.end());
     std::sort(sorted.begin(), sorted.end());
     canonical.push_back(sorted);
   });
